@@ -9,12 +9,13 @@
 //! and requiring every `(task, epoch)` pair of the cycle to still be
 //! present — deadlocked tasks can never unblock, so confirmation is
 //! conclusive, while in-flight unblockings disappear.
+//!
+//! [`IncrementalDistChecker`] is the one check path: every
+//! [`crate::site::Site`]'s checker thread and the `armus-stored`
+//! subscription checker run it. Its tests compare it against a stateless
+//! from-scratch oracle that rebuilds the graphs from each merged view.
 
-#[cfg(test)]
-use armus_core::TaskId;
-use armus_core::{
-    checker, CheckStats, DeadlockReport, Delta, IncrementalEngine, ModelChoice, Snapshot,
-};
+use armus_core::{CheckStats, DeadlockReport, Delta, IncrementalEngine, ModelChoice, Snapshot};
 
 use crate::store::{SiteId, Store, StoreError};
 
@@ -64,35 +65,6 @@ pub struct DistCheck {
     pub stats: Option<CheckStats>,
 }
 
-/// Runs one check round against the store: fetch, analyse, and on a hit
-/// re-fetch to confirm. Store errors surface as `Err` — callers skip the
-/// round (resilience) rather than fail.
-pub fn check_store(
-    store: &dyn Store,
-    model: ModelChoice,
-    sg_threshold: usize,
-) -> Result<DistCheck, StoreError> {
-    let view = store.fetch_all()?;
-    let merged = merge(&view);
-    if merged.is_empty() {
-        return Ok(DistCheck { report: None, stats: None });
-    }
-    let outcome = checker::check(&merged, model, sg_threshold);
-    let stats = Some(outcome.stats);
-    let Some(report) = outcome.report else {
-        return Ok(DistCheck { report: None, stats });
-    };
-    // Confirmation pass: one more fetch; every participant must still be
-    // in the same blocking operation.
-    let view2 = store.fetch_all()?;
-    let merged2 = merge(&view2);
-    let confirmed = report
-        .task_epochs
-        .iter()
-        .all(|&(task, epoch)| merged2.get(task).map(|info| info.epoch == epoch).unwrap_or(false));
-    Ok(DistCheck { report: confirmed.then_some(report), stats })
-}
-
 /// Per-checker counters of the incremental distributed detection path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DistCheckerStats {
@@ -113,19 +85,17 @@ pub struct DistCheckerStats {
     pub confirm_fetches: u64,
 }
 
-/// A *persistent* distributed checker: the stateful counterpart of
-/// [`check_store`]. It keeps an [`IncrementalEngine`] alive across rounds
-/// and feeds it the **difference between successive merged views** as
-/// block/unblock deltas, so cycle existence is answered from the
+/// The distributed checker. It keeps an [`IncrementalEngine`] alive across
+/// rounds and feeds it the **difference between successive merged views**
+/// as block/unblock deltas, so cycle existence is answered from the
 /// maintained Pearce–Kelly order in O(round-over-round churn) instead of
 /// rebuilding the dependency graphs from the full global view every 200 ms
 /// — the distributed analogue of the local verifier's journal-following
 /// detection. The first round (and every explicit
 /// [`IncrementalDistChecker::resync`]) rebuilds the engine from the merged
 /// snapshot, mirroring the local `Behind` → snapshot-resync fallback;
-/// reports stay byte-identical to [`check_store`]'s because a hit falls
-/// back to the same canonical `checker::check` extraction and the same
-/// confirmation re-fetch.
+/// reports stay byte-identical to a from-scratch check of the merged view
+/// because a hit falls back to the canonical `checker::check` extraction.
 pub struct IncrementalDistChecker {
     engine: IncrementalEngine,
     /// The merged view the engine currently reflects; `None` forces a
@@ -213,9 +183,9 @@ impl IncrementalDistChecker {
     /// Runs one check round against the store: fetch + merge, advance the
     /// engine by the diff, answer cycle existence from the maintained
     /// order, and on a hit extract the canonical report and confirm it
-    /// with a re-fetch — the exact semantics of [`check_store`], minus the
-    /// per-round graph rebuild. Store errors surface as `Err` and leave
-    /// the engine untouched, so the next round's diff stays sound.
+    /// with a re-fetch. Store errors surface as `Err` — callers skip the
+    /// round rather than fail — and leave the engine untouched, so the
+    /// next round's diff stays sound.
     pub fn check_round(
         &mut self,
         store: &dyn Store,
@@ -237,8 +207,8 @@ impl IncrementalDistChecker {
         let Some(report) = det.outcome.report else {
             return Ok(DistCheck { report: None, stats });
         };
-        // Confirmation pass, identical to `check_store`: one more fetch;
-        // every participant must still be in the same blocking operation.
+        // Confirmation pass: one more fetch; every participant must still
+        // be in the same blocking operation.
         // The confirmation view is deliberately NOT fed to the engine —
         // the next round re-fetches and diffs from `merged`.
         self.stats.confirm_fetches += 1;
@@ -261,7 +231,36 @@ pub use armus_core::checker::{ReportDedup, DEFAULT_DEDUP_CAPACITY};
 mod tests {
     use super::*;
     use crate::store::MemStore;
-    use armus_core::{BlockedInfo, PhaserId, Registration, Resource, DEFAULT_SG_THRESHOLD};
+    use armus_core::{
+        checker, BlockedInfo, PhaserId, Registration, Resource, TaskId, DEFAULT_SG_THRESHOLD,
+    };
+
+    /// The stateless oracle [`IncrementalDistChecker`] is compared
+    /// against: fetch, rebuild the graphs from the merged view, analyse,
+    /// and on a hit re-fetch to confirm.
+    fn check_store(
+        store: &dyn Store,
+        model: ModelChoice,
+        sg_threshold: usize,
+    ) -> Result<DistCheck, StoreError> {
+        let view = store.fetch_all()?;
+        let merged = merge(&view);
+        if merged.is_empty() {
+            return Ok(DistCheck { report: None, stats: None });
+        }
+        let outcome = checker::check(&merged, model, sg_threshold);
+        let stats = Some(outcome.stats);
+        let Some(report) = outcome.report else {
+            return Ok(DistCheck { report: None, stats });
+        };
+        // Confirmation pass: every participant must still be in the same
+        // blocking operation.
+        let merged2 = merge(&store.fetch_all()?);
+        let confirmed = report.task_epochs.iter().all(|&(task, epoch)| {
+            merged2.get(task).map(|info| info.epoch == epoch).unwrap_or(false)
+        });
+        Ok(DistCheck { report: confirmed.then_some(report), stats })
+    }
 
     fn t(n: u64) -> TaskId {
         TaskId(n)
@@ -466,7 +465,7 @@ mod tests {
 
     #[test]
     fn incremental_checker_discards_unconfirmed_cycles() {
-        // Same staleness protocol as `check_store`: the confirmation
+        // Same staleness protocol as the oracle: the confirmation
         // re-fetch sees the driver gone, so no report — and the *next*
         // round diffs from the analysis view, staying exact.
         struct TwoPhase {

@@ -3,22 +3,26 @@
 //! `armus-stored` binary in `src/bin/`).
 //!
 //! The server is a thread-per-connection loop over the same [`MemStore`]
-//! core the in-process cluster uses, speaking the versioned frame protocol
-//! of [`crate::wire`]. Connections are **pipelined**: each `read(2)` may
+//! core the in-process cluster uses, speaking the frame protocol of
+//! [`crate::wire`]. Connections are **pipelined**: each `read(2)` may
 //! deliver a burst of frames (a [`wire::FrameBuffer`] reassembles them
 //! across reads), every frame is handled in arrival order, and the
-//! responses accumulate in a per-connection reply queue flushed with one
-//! write per burst — a multiplexing client ([`crate::tcp::TcpStore`])
-//! keeps dozens of requests in flight on one socket. Version negotiation
-//! is per-frame: a frame that arrived as v1 is answered as v1 (strict
-//! ping-pong peers keep working), a v2 frame is answered as v2 with its
-//! correlation id echoed. Per-connection read/write timeouts reap dead
-//! peers, partitions carry a lease TTL refreshed by every publish (crashed
-//! sites expire instead of ghosting the merged view), and shutdown is a
-//! graceful drain: a flag — set in-band by
-//! [`crate::wire::Request::Shutdown`], the SIGTERM equivalent — stops the
-//! accept loop, lets in-flight requests finish, and joins every
-//! connection thread.
+//! responses — each echoing its request's correlation id — accumulate in
+//! a per-connection reply queue flushed with one write per burst, so a
+//! multiplexing client ([`crate::tcp::TcpStore`]) keeps dozens of requests
+//! in flight on one socket. A frame the server cannot decode (including
+//! one under a version it does not speak) closes that connection and is
+//! counted in [`ServerMetrics::protocol_errors`].
+//!
+//! Subscribed tenants are checked at the store by a checker thread that
+//! runs, per tenant, the same [`IncrementalDistChecker`] every
+//! [`crate::site::Site`] runs, and streams fresh reports to the tenant's
+//! subscribers. Per-connection read/write timeouts reap dead peers,
+//! partitions carry a lease TTL refreshed by every publish (crashed sites
+//! expire instead of ghosting the merged view), and shutdown is a graceful
+//! drain: a flag — set in-band by [`crate::wire::Request::Shutdown`], the
+//! SIGTERM equivalent — stops the accept loop, lets in-flight requests
+//! finish, and joins every connection thread.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -31,9 +35,9 @@ use std::time::{Duration, Instant};
 use armus_core::{DeadlockReport, ModelChoice, Snapshot, DEFAULT_SG_THRESHOLD};
 use parking_lot::Mutex;
 
-use crate::detector::{check_store, ReportDedup};
+use crate::detector::{IncrementalDistChecker, ReportDedup};
 use crate::store::{MemStore, SiteId, Store, StoreError, TenantId};
-use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics, WireError};
+use crate::wire::{self, Request, Response, ServerMetrics, TenantMetrics};
 
 /// Default partition lease: a site that has not published for this long is
 /// considered dead and its partition stops contributing to fetches. Must
@@ -90,13 +94,12 @@ pub struct StoredServer {
 }
 
 /// One connection's registration for streamed reports: which tenant it
-/// watches, the correlation id and wire version its report frames must
-/// carry, and a weak handle to the connection's push buffer (dropping the
-/// connection unregisters it implicitly).
+/// watches, the correlation id its report frames must carry, and a weak
+/// handle to the connection's push buffer (dropping the connection
+/// unregisters it implicitly).
 struct Subscriber {
     tenant: TenantId,
     corr: u64,
-    version: u8,
     queue: Weak<Mutex<Vec<u8>>>,
 }
 
@@ -108,8 +111,8 @@ struct SubHub {
 }
 
 impl SubHub {
-    fn subscribe(&self, tenant: TenantId, corr: u64, version: u8, queue: &Arc<Mutex<Vec<u8>>>) {
-        self.subs.lock().push(Subscriber { tenant, corr, version, queue: Arc::downgrade(queue) });
+    fn subscribe(&self, tenant: TenantId, corr: u64, queue: &Arc<Mutex<Vec<u8>>>) {
+        self.subs.lock().push(Subscriber { tenant, corr, queue: Arc::downgrade(queue) });
     }
 
     /// Tenants with at least one live subscriber (pruning dead ones).
@@ -134,29 +137,16 @@ impl SubHub {
     }
 
     /// Queues `report` for every live subscriber of `tenant`, each framed
-    /// in the version (and with the correlation id) its subscription
-    /// arrived in. Returns how many subscribers received it.
-    fn push(&self, tenant: TenantId, report: &DeadlockReport) -> u64 {
-        let response = Response::Report(report.clone());
+    /// with the correlation id its subscription arrived with. Returns how
+    /// many subscribers received it.
+    fn push(&self, tenant: TenantId, report: DeadlockReport) -> u64 {
+        let response = Response::Report(report);
         let mut delivered = 0;
         self.subs.lock().retain(|s| {
             let Some(queue) = s.queue.upgrade() else { return false };
-            if s.tenant != tenant {
-                return true;
-            }
-            let mut q = queue.lock();
-            let ok = if s.version == wire::WIRE_V1 {
-                match wire::encode_frame(&response) {
-                    Ok(frame) => {
-                        q.extend_from_slice(&frame);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            } else {
-                wire::encode_frame_v2_into(&mut q, s.corr, &response).is_ok()
-            };
-            if ok {
+            if s.tenant == tenant
+                && wire::encode_frame_v2_into(&mut queue.lock(), s.corr, &response).is_ok()
+            {
                 delivered += 1;
             }
             true
@@ -167,7 +157,8 @@ impl SubHub {
 
 /// A read-only [`Store`] view of one tenant's partitions, fed to the
 /// server-side checker: `fetch_all` is the only operation
-/// [`check_store`] uses, and it must see exactly the tenant's slice.
+/// [`IncrementalDistChecker::check_round`] uses, and it must see exactly
+/// the tenant's slice.
 struct TenantView<'a> {
     store: &'a MemStore,
     tenant: TenantId,
@@ -253,15 +244,19 @@ impl Shared {
     }
 }
 
-/// The server-side checker loop: every
-/// [`StoredConfig::check_period`], run the distributed check over each
-/// subscribed tenant's merged view and stream fresh reports to that
-/// tenant's subscribers. Detection happens *at the store* — subscribers
-/// learn about deadlocks without a single `fetch_all` poll, and
-/// cross-tenant isolation holds because each check round sees exactly one
-/// tenant's partitions ([`TenantView`]).
+/// The server-side checker's state for one subscribed tenant: the
+/// incremental checker a site runs, and the dedup that keeps a standing
+/// deadlock from being streamed again every round.
+#[derive(Default)]
+struct TenantChecker {
+    checker: IncrementalDistChecker,
+    dedup: ReportDedup,
+}
+
+/// The server-side checker loop: every [`StoredConfig::check_period`],
+/// one [`check_subscribed`] round.
 fn checker_loop(shared: Arc<Shared>) {
-    let mut dedups: HashMap<TenantId, ReportDedup> = HashMap::new();
+    let mut checkers: HashMap<TenantId, TenantChecker> = HashMap::new();
     let mut next_check = Instant::now();
     while !shared.shutdown.load(Ordering::SeqCst) {
         // Park in drain-observable slices until the next round is due.
@@ -271,17 +266,33 @@ fn checker_loop(shared: Arc<Shared>) {
             continue;
         }
         next_check = now + shared.cfg.check_period;
-        for tenant in shared.hub.tenants() {
-            let view = TenantView { store: &shared.store, tenant };
-            let Ok(check) = check_store(&view, ModelChoice::Auto, DEFAULT_SG_THRESHOLD) else {
-                continue; // MemStore cannot actually fail; stay total anyway
-            };
-            if let Some(report) = check.report {
-                if dedups.entry(tenant).or_default().is_new(&report) {
-                    let delivered = shared.hub.push(tenant, &report);
+        check_subscribed(&shared, &mut checkers);
+    }
+}
+
+/// One server-side check round: run each subscribed tenant's incremental
+/// checker over its merged view and stream fresh reports to that tenant's
+/// subscribers. Detection happens *at the store* — subscribers learn about
+/// deadlocks without a single `fetch_all` poll, and cross-tenant isolation
+/// holds because each round sees exactly one tenant's partitions
+/// ([`TenantView`]). A tenant whose last subscriber left has its state
+/// dropped; a later subscriber starts from a fresh rebuild.
+fn check_subscribed(shared: &Shared, checkers: &mut HashMap<TenantId, TenantChecker>) {
+    let tenants = shared.hub.tenants();
+    checkers.retain(|tenant, _| tenants.binary_search(tenant).is_ok());
+    for tenant in tenants {
+        let view = TenantView { store: &shared.store, tenant };
+        let state = checkers.entry(tenant).or_default();
+        match state.checker.check_round(&view, ModelChoice::Auto, DEFAULT_SG_THRESHOLD) {
+            Ok(round) => {
+                if let Some(report) = round.report.filter(|r| state.dedup.is_new(r)) {
+                    let delivered = shared.hub.push(tenant, report);
                     shared.reports_streamed.fetch_add(delivered, Ordering::Relaxed);
                 }
             }
+            // MemStore cannot actually fail; stay total anyway, and rebuild
+            // from the next view as a site checker does.
+            Err(_) => state.checker.resync(),
         }
     }
 }
@@ -453,8 +464,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// The loop reads in [`POLL_PERIOD`] slices (so the drain flag stays
 /// observed even mid-frame), extracts every complete frame the read
 /// delivered, handles them in order, and answers the whole burst with one
-/// flush of the reply queue — each reply in the version its request
-/// arrived in.
+/// flush of the reply queue.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(POLL_PERIOD)).is_err() {
@@ -501,7 +511,9 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                                 shared.shutdown.store(true, Ordering::SeqCst);
                                 drain = true;
                             }
-                            if encode_reply(&mut replies, &frame, &response).is_err() {
+                            if wire::encode_frame_v2_into(&mut replies, frame.corr, &response)
+                                .is_err()
+                            {
                                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                                 break 'conn;
                             }
@@ -543,22 +555,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     }
     let _ = stream.shutdown(Shutdown::Both);
     shared.live_connections.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Appends the response frame for `request` to the reply queue, in the
-/// version the request arrived in (v1 → v1 tree frame, v2 → flat frame
-/// echoing the correlation id).
-fn encode_reply(
-    out: &mut Vec<u8>,
-    request: &wire::Frame<Request>,
-    response: &Response,
-) -> Result<(), WireError> {
-    if request.version == wire::WIRE_V1 {
-        out.extend_from_slice(&wire::encode_frame(response)?);
-        Ok(())
-    } else {
-        wire::encode_frame_v2_into(out, request.corr, response)
-    }
 }
 
 /// Writes the queued replies for one burst in a single `write_all` and
@@ -679,10 +675,10 @@ fn handle(
         Request::Metrics => Response::Metrics(shared.metrics()),
         Request::Subscribe { tenant } => {
             // Register this connection's push buffer under the request's
-            // correlation id and version: every future report frame for
-            // the tenant carries them, so the client's demultiplexer can
-            // route the stream beside its ordinary request traffic.
-            shared.hub.subscribe(*tenant, frame.corr, frame.version, pushes);
+            // correlation id: every future report frame for the tenant
+            // carries it, so the client's demultiplexer can route the
+            // stream beside its ordinary request traffic.
+            shared.hub.subscribe(*tenant, frame.corr, pushes);
             Response::Subscribed
         }
         Request::Shutdown => Response::Ok,
@@ -752,13 +748,13 @@ impl StoredProcess {
         let drained = TcpStream::connect(&self.addr).and_then(|mut s| {
             s.set_write_timeout(Some(Duration::from_secs(2)))?;
             s.set_read_timeout(Some(Duration::from_secs(2)))?;
-            let frame = wire::encode_frame(&Request::Shutdown)
+            let mut frame = Vec::new();
+            wire::encode_frame_v2_into(&mut frame, 0, &Request::Shutdown)
                 .expect("Shutdown is a tiny fixed-size message");
             s.write_all(&frame)?;
-            s.flush()?;
             // Wait for the ack (or the server's close): closing our end
             // immediately could RST the request away before it is read.
-            let _ = wire::read_message::<_, Response>(&mut s);
+            let _ = s.read(&mut [0u8; 1]);
             Ok(())
         });
         if drained.is_err() {
@@ -789,10 +785,56 @@ mod tests {
         )])
     }
 
+    /// A raw test client: one socket, frames encoded and reassembled by
+    /// hand, so tests see exactly what the server writes.
+    struct Conn {
+        stream: TcpStream,
+        frames: wire::FrameBuffer,
+        next_corr: u64,
+    }
+
+    impl Conn {
+        fn open(addr: SocketAddr) -> Conn {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            Conn { stream, frames: wire::FrameBuffer::new(), next_corr: 1 }
+        }
+
+        /// Sends `request` under a fresh correlation id and returns it.
+        fn send(&mut self, request: &Request) -> u64 {
+            let corr = self.next_corr;
+            self.next_corr += 1;
+            let mut frame = Vec::new();
+            wire::encode_frame_v2_into(&mut frame, corr, request).unwrap();
+            self.stream.write_all(&frame).unwrap();
+            corr
+        }
+
+        /// The next frame the server sent; `None` once it closed.
+        fn recv(&mut self) -> Option<wire::Frame<Response>> {
+            let mut chunk = [0u8; 4096];
+            loop {
+                if let Some(frame) = self.frames.next_frame().unwrap() {
+                    return Some(frame);
+                }
+                match self.stream.read(&mut chunk).expect("the server answers or closes") {
+                    0 => return None,
+                    n => self.frames.feed(&chunk[..n]),
+                }
+            }
+        }
+
+        /// One request, one response echoing its correlation id.
+        fn call(&mut self, request: &Request) -> Response {
+            let corr = self.send(request);
+            let frame = self.recv().expect("a response");
+            assert_eq!(frame.corr, corr, "the response echoes the request's id");
+            frame.msg
+        }
+    }
+
     fn talk(addr: SocketAddr, request: &Request) -> Response {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        wire::write_message(&mut stream, request).unwrap();
-        wire::read_message(&mut stream).unwrap().expect("a response")
+        Conn::open(addr).call(request)
     }
 
     const T0: TenantId = TenantId::DEFAULT;
@@ -854,15 +896,14 @@ mod tests {
     #[test]
     fn multiple_requests_per_connection() {
         let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut conn = Conn::open(server.local_addr());
         for task in 1..=5u64 {
-            wire::write_message(
-                &mut stream,
-                &Request::Publish { site: SiteId(task as u32), tenant: T0, snapshot: snap(task) },
-            )
-            .unwrap();
             assert_eq!(
-                wire::read_message::<_, Response>(&mut stream).unwrap().unwrap(),
+                conn.call(&Request::Publish {
+                    site: SiteId(task as u32),
+                    tenant: T0,
+                    snapshot: snap(task)
+                }),
                 Response::Ok
             );
         }
@@ -968,7 +1009,10 @@ mod tests {
         let refused = TcpStream::connect(addr)
             .and_then(|mut s| {
                 s.set_read_timeout(Some(Duration::from_millis(200)))?;
-                s.write_all(&wire::encode_frame(&Request::FetchAll { tenant: T0 }).unwrap())?;
+                let mut frame = Vec::new();
+                wire::encode_frame_v2_into(&mut frame, 1, &Request::FetchAll { tenant: T0 })
+                    .unwrap();
+                s.write_all(&frame)?;
                 let mut byte = [0u8; 1];
                 match s.read(&mut byte) {
                     Ok(0) => Err(io::Error::new(io::ErrorKind::ConnectionReset, "closed")),
@@ -1071,6 +1115,110 @@ mod tests {
         let mut buf = [0u8; 1];
         assert_eq!(s.read(&mut buf).unwrap(), 0, "idle peer must be reaped");
         assert!(start.elapsed() >= Duration::from_millis(100));
+        server.shutdown();
+    }
+
+    #[test]
+    fn retired_version_frames_close_the_connection_but_not_the_server() {
+        let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
+        let addr = server.local_addr();
+        // A bystander connection, served before, during and after.
+        let mut bystander = Conn::open(addr);
+        assert_eq!(
+            bystander.call(&Request::Publish { site: SiteId(0), tenant: T0, snapshot: snap(1) }),
+            Response::Ok
+        );
+        // A well-formed frame under the retired version byte 1.
+        let mut frame = Vec::new();
+        wire::encode_frame_v2_into(&mut frame, 1, &Request::FetchAll { tenant: T0 }).unwrap();
+        frame[4] = 1; // the version byte follows the length prefix
+        let mut rogue = TcpStream::connect(addr).unwrap();
+        rogue.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        rogue.write_all(&frame).unwrap();
+        let mut buf = [0u8; 1];
+        assert_eq!(rogue.read(&mut buf).unwrap(), 0, "closed without an answer");
+        assert_eq!(server.metrics().protocol_errors, 1);
+        match bystander.call(&Request::FetchAll { tenant: T0 }) {
+            Response::View(view) => assert_eq!(view.len(), 1),
+            other => panic!("expected a view, got {other:?}"),
+        }
+        assert_eq!(server.metrics().protocol_errors, 1);
+        server.shutdown();
+    }
+
+    /// Blocks until `cond` holds, failing the test after 10 s.
+    fn wait_until(mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "condition not reached within 10 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Publishes the running example split over two sites of `tenant`:
+    /// three workers on site 0 and the driver on site 1, deadlocked.
+    fn plant_cycle(addr: SocketAddr, tenant: TenantId) {
+        let workers = (1..=3)
+            .map(|t| {
+                BlockedInfo::new(
+                    TaskId(t),
+                    vec![Resource::new(PhaserId(1), 1)],
+                    vec![Registration::new(PhaserId(1), 1), Registration::new(PhaserId(2), 0)],
+                )
+            })
+            .collect();
+        let driver = BlockedInfo::new(
+            TaskId(4),
+            vec![Resource::new(PhaserId(2), 1)],
+            vec![Registration::new(PhaserId(1), 0), Registration::new(PhaserId(2), 1)],
+        );
+        for (site, tasks) in [(0, workers), (1, vec![driver])] {
+            let snapshot = Snapshot::from_tasks(tasks);
+            let publish = Request::Publish { site: SiteId(site), tenant, snapshot };
+            assert_eq!(talk(addr, &publish), Response::Ok);
+        }
+    }
+
+    /// Subscribes a fresh connection to `tenant`, returning it and the
+    /// subscription's correlation id.
+    fn subscribe(addr: SocketAddr, tenant: TenantId) -> (Conn, u64) {
+        let mut conn = Conn::open(addr);
+        let corr = conn.send(&Request::Subscribe { tenant });
+        assert_eq!(conn.recv(), Some(wire::Frame { corr, msg: Response::Subscribed }));
+        (conn, corr)
+    }
+
+    #[test]
+    fn tenant_checker_state_is_released_with_its_last_subscriber() {
+        // The background checker is parked for the whole test; rounds are
+        // driven by hand through the function it runs.
+        let cfg =
+            StoredConfig { check_period: Duration::from_secs(3600), ..StoredConfig::default() };
+        let server = StoredServer::bind("127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr();
+        let tenant = TenantId(4);
+        plant_cycle(addr, tenant);
+        let mut checkers = HashMap::new();
+
+        let (mut first, corr) = subscribe(addr, tenant);
+        check_subscribed(&server.shared, &mut checkers);
+        assert_eq!(checkers.keys().copied().collect::<Vec<_>>(), vec![tenant]);
+        let pushed = first.recv().expect("the report is streamed");
+        assert!(matches!(pushed.msg, Response::Report(_)) && pushed.corr == corr);
+
+        // The last subscriber leaves: the next round drops the tenant.
+        drop(first);
+        wait_until(|| server.metrics().subscribers == 0);
+        check_subscribed(&server.shared, &mut checkers);
+        assert!(checkers.is_empty(), "state must not outlive the last subscriber");
+
+        // A later subscriber starts from a fresh rebuild, so the standing
+        // deadlock is streamed to it too.
+        let (mut second, corr) = subscribe(addr, tenant);
+        check_subscribed(&server.shared, &mut checkers);
+        assert_eq!(checkers[&tenant].checker.stats().order_rebuilds, 1);
+        let pushed = second.recv().expect("the report is streamed again");
+        assert!(matches!(pushed.msg, Response::Report(_)) && pushed.corr == corr);
         server.shutdown();
     }
 }

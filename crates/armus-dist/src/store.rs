@@ -41,10 +41,10 @@ use std::time::{Duration, Instant};
 
 use armus_core::{BlockedInfo, Delta, Snapshot, TaskId};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A site (place) identifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SiteId(pub u32);
 
 impl std::fmt::Display for SiteId {
@@ -57,7 +57,7 @@ impl std::fmt::Display for SiteId {
 /// lets many independent applications share one store server. Partitions
 /// are keyed `(tenant, site)`, and fetches/subscriptions are scoped to one
 /// tenant, so colliding `SiteId`s across applications never alias.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TenantId(pub u32);
 
 impl TenantId {
@@ -108,7 +108,7 @@ pub enum DeltaAck {
 /// fixed-width observability record behind the server's metrics endpoint
 /// (`fastpath_skips`, `resyncs`, `async_waits`, `waker_wakes` and friends,
 /// aggregated per `(tenant, site)` by `armus-stored`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct SiteStats {
     /// Blocked-status publications on the site's local verifier.
     pub blocks: u64,

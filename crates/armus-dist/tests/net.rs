@@ -283,43 +283,6 @@ fn multiplexed_sites_match_dedicated_connections_and_memstore() {
 }
 
 #[test]
-fn v1_client_against_v2_server_still_round_trips() {
-    // A legacy ping-pong client: raw v1 frames, one at a time, no
-    // correlation ids. The pipelined server must answer each in v1.
-    let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
-    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    use std::io::Write;
-    let snapshot = Snapshot::from_tasks(vec![BlockedInfo::new(
-        TaskId(1),
-        vec![Resource::new(PhaserId(1), 1)],
-        vec![Registration::new(PhaserId(1), 1)],
-    )]);
-    let publish = armus_dist::wire::Request::PublishFull {
-        site: SiteId(0),
-        tenant: TenantId::DEFAULT,
-        snapshot,
-        version: 1,
-    };
-    conn.write_all(&armus_dist::wire::encode_frame(&publish).unwrap()).unwrap();
-    let ack: armus_dist::wire::Response = armus_dist::wire::read_message(&mut conn)
-        .expect("v1 response")
-        .expect("server must answer a v1 frame in v1");
-    assert_eq!(ack, armus_dist::wire::Response::Ok);
-    let fetch = armus_dist::wire::Request::FetchAll { tenant: TenantId::DEFAULT };
-    conn.write_all(&armus_dist::wire::encode_frame(&fetch).unwrap()).unwrap();
-    let view: armus_dist::wire::Response =
-        armus_dist::wire::read_message(&mut conn).expect("v1 response").expect("one frame");
-    match view {
-        armus_dist::wire::Response::View(view) => {
-            assert_eq!(view.len(), 1);
-            assert_eq!(view[0].0, SiteId(0));
-        }
-        other => panic!("expected a view, got {other:?}"),
-    }
-    server.shutdown();
-}
-
-#[test]
 fn server_death_fails_every_batched_frame_to_unavailable() {
     // Concurrent callers are mid-flight — some batched, some awaiting
     // responses — when the server dies. Every one of them must resolve
@@ -537,29 +500,14 @@ fn subscriptions_are_tenant_scoped() {
 }
 
 #[test]
-fn metrics_are_served_over_both_wire_versions() {
+fn metrics_are_served_over_the_wire() {
     let server = StoredServer::bind("127.0.0.1:0", StoredConfig::default()).unwrap();
     let store = TcpStore::new(server.local_addr().to_string());
     store.publish_full(SiteId(3), driver_snapshot(), 1).unwrap();
-    // v2: flat frames through the pipelined client.
     let m2 = store.metrics().unwrap();
     assert_eq!(m2.publishes, 1);
     assert_eq!(m2.tenants.len(), 1);
     assert_eq!(m2.tenants[0].partitions, 1);
-    // v1: the legacy ping-pong encoding over a raw socket.
-    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    use std::io::Write;
-    conn.write_all(&armus_dist::wire::encode_frame(&armus_dist::wire::Request::Metrics).unwrap())
-        .unwrap();
-    let resp: armus_dist::wire::Response =
-        armus_dist::wire::read_message(&mut conn).expect("v1 response").expect("one frame");
-    match resp {
-        armus_dist::wire::Response::Metrics(m1) => {
-            assert_eq!(m1.publishes, 1);
-            assert!(m1.served > m2.served, "the v2 scrape itself was served in between");
-        }
-        other => panic!("expected metrics, got {other:?}"),
-    }
     server.shutdown();
 }
 

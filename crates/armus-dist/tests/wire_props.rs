@@ -1,8 +1,7 @@
 //! Property tests for the wire protocol: encode∘decode ≡ id on arbitrary
-//! snapshots, deltas and messages — on the legacy v1 tree layout and the
-//! flat v2 frame layout alike — plus totality on hostile bytes (the
-//! decoders error, they never panic or over-allocate) and v1↔v2
-//! negotiation through the version-dispatching entry point.
+//! snapshots, deltas and messages — per payload and through the stream
+//! reader under arbitrary read splits — plus totality on hostile bytes
+//! (the decoders error, they never panic or over-allocate).
 
 use armus_core::{BlockedInfo, Delta, PhaserId, Registration, Resource, Snapshot, TaskId};
 use armus_dist::wire::{self, Request, Response, WireError};
@@ -44,21 +43,28 @@ fn arb_delta() -> impl Strategy<Value = Delta> {
     ]
 }
 
-fn frame_roundtrip<T>(msg: &T) -> T
-where
-    T: serde::Serialize + serde::Deserialize,
-{
-    let frame = wire::encode_frame(msg).expect("bounded test message");
-    let mut cursor = std::io::Cursor::new(frame);
-    wire::read_message(&mut cursor).expect("decode").expect("one frame")
+/// Encodes `msg` as one frame and reads it back through a
+/// [`wire::FrameBuffer`] fed `chunk` bytes at a time, the way a socket
+/// may split it: exactly one frame comes out, and nothing is left over.
+fn frame_roundtrip<T: wire::FlatMessage>(msg: &T, chunk: usize) -> T {
+    let mut bytes = Vec::new();
+    wire::encode_frame_v2_into(&mut bytes, 1, msg).expect("bounded test message");
+    let mut fb = wire::FrameBuffer::new();
+    let mut frames = Vec::new();
+    for piece in bytes.chunks(chunk) {
+        fb.feed(piece);
+        while let Some(frame) = fb.next_frame::<T>().expect("decode") {
+            frames.push(frame.msg);
+        }
+    }
+    assert!(!fb.has_partial(), "the whole frame was consumed");
+    assert_eq!(frames.len(), 1, "exactly one frame");
+    frames.pop().unwrap()
 }
 
-/// Encodes as a flat v2 frame and decodes through the negotiating entry
-/// point, returning the whole frame (version, correlation id, message).
-fn flat_roundtrip<T>(msg: &T, corr: u64) -> wire::Frame<T>
-where
-    T: wire::FlatMessage + serde::Deserialize,
-{
+/// Encodes as a frame and decodes its payload, returning the whole frame
+/// (correlation id and message).
+fn flat_roundtrip<T: wire::FlatMessage>(msg: &T, corr: u64) -> wire::Frame<T> {
     let mut out = Vec::new();
     wire::encode_frame_v2_into(&mut out, corr, msg).expect("bounded test message");
     wire::decode_frame_payload(&out[4..]).expect("flat decode")
@@ -68,13 +74,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn snapshots_round_trip(snap in arb_snapshot(), tenant in 0u32..8) {
+    fn snapshots_round_trip(snap in arb_snapshot(), tenant in 0u32..8, chunk in 1usize..64) {
         let back = frame_roundtrip(&Request::PublishFull {
             site: SiteId(3),
             tenant: TenantId(tenant),
             snapshot: snap.clone(),
             version: 17,
-        });
+        }, chunk);
         prop_assert_eq!(
             back,
             Request::PublishFull {
@@ -92,6 +98,7 @@ proptest! {
         base in 0u64..1000,
         span in 0u64..50,
         tenant in 0u32..8,
+        chunk in 1usize..64,
     ) {
         let msg = Request::PublishDeltas {
             site: SiteId(1),
@@ -100,41 +107,59 @@ proptest! {
             deltas,
             next: base + span,
         };
-        prop_assert_eq!(frame_roundtrip(&msg), msg);
+        prop_assert_eq!(frame_roundtrip(&msg, chunk), msg);
     }
 
     #[test]
-    fn views_round_trip(parts in proptest::collection::vec((0u32..8, arb_snapshot()), 0..5)) {
+    fn views_round_trip(
+        parts in proptest::collection::vec((0u32..8, arb_snapshot()), 0..5),
+        chunk in 1usize..64,
+    ) {
         let view: Vec<(SiteId, Snapshot)> =
             parts.into_iter().map(|(s, p)| (SiteId(s), p)).collect();
         let msg = Response::View(view);
-        prop_assert_eq!(frame_roundtrip(&msg), msg);
+        prop_assert_eq!(frame_roundtrip(&msg, chunk), msg);
     }
 
-    /// Totality: any byte soup either decodes to some request or errors —
-    /// never a panic, and never a huge allocation (the input is tiny, so
-    /// the count guards must bound everything).
+    /// Totality of the stream reader: any byte soup yields some frames,
+    /// then waits for more bytes or errors — never a panic, and never a
+    /// huge allocation (the input is tiny, so the length and count guards
+    /// must bound everything).
     #[test]
-    fn arbitrary_bytes_never_panic_the_decoder(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = wire::decode_payload::<Request>(&payload);
+    fn arbitrary_bytes_never_panic_the_decoder(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let mut requests = wire::FrameBuffer::new();
+        requests.feed(&bytes);
+        while let Ok(Some(_)) = requests.next_frame::<Request>() {}
+        let mut responses = wire::FrameBuffer::new();
+        responses.feed(&bytes);
+        while let Ok(Some(_)) = responses.next_frame::<Response>() {}
     }
 
-    /// A truncated valid frame is always rejected, never misread: every
-    /// strict prefix of an encoded message fails to decode (the payload
-    /// is cut, so either the value or its trailing check breaks).
+    /// A truncated frame is never misread by the stream reader: cut short
+    /// on the wire it is held as a partial, and re-prefixed as if the
+    /// sender meant the shorter payload it is rejected.
     #[test]
     fn truncated_payloads_are_rejected(snap in arb_snapshot(), cut in 1usize..32) {
-        let frame = wire::encode_frame(&Request::Publish {
+        let mut frame = Vec::new();
+        wire::encode_frame_v2_into(&mut frame, 3, &Request::Publish {
             site: SiteId(0),
             tenant: TenantId::DEFAULT,
             snapshot: snap,
         })
         .unwrap();
-        let payload = &frame[4..]; // strip the length prefix
-        if cut < payload.len() {
-            let truncated = &payload[..payload.len() - cut];
+        let payload_len = frame.len() - 4;
+        if cut < payload_len {
+            let mut held = wire::FrameBuffer::new();
+            held.feed(&frame[..frame.len() - cut]);
+            prop_assert!(matches!(held.next_frame::<Request>(), Ok(None)));
+            prop_assert!(held.has_partial());
+
+            let short = (payload_len - cut) as u32;
+            let mut rejected = wire::FrameBuffer::new();
+            rejected.feed(&short.to_le_bytes());
+            rejected.feed(&frame[4..frame.len() - cut]);
             prop_assert!(matches!(
-                wire::decode_payload::<Request>(truncated),
+                rejected.next_frame::<Request>(),
                 Err(WireError::Malformed(_))
             ));
         }
@@ -153,7 +178,6 @@ proptest! {
             version: 17,
         };
         let frame = flat_roundtrip(&msg, corr);
-        prop_assert_eq!(frame.version, wire::WIRE_V2);
         prop_assert_eq!(frame.corr, corr);
         prop_assert_eq!(frame.msg, msg);
     }
@@ -188,31 +212,13 @@ proptest! {
         prop_assert_eq!(frame.msg, msg);
     }
 
-    /// Totality of the negotiating entry point: any byte soup either
-    /// decodes (as v1 or v2) or errors — never a panic, never a huge
-    /// allocation, for requests and responses alike.
+    /// Totality of the payload decoder: any byte soup either decodes or
+    /// errors — never a panic, never a huge allocation, for requests and
+    /// responses alike.
     #[test]
     fn arbitrary_bytes_never_panic_the_flat_decoder(payload in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = wire::decode_frame_payload::<Request>(&payload);
         let _ = wire::decode_frame_payload::<Response>(&payload);
-    }
-
-    /// Negotiation: a legacy v1 payload decodes through the same entry
-    /// point the pipelined client/server use, with the implicit
-    /// correlation id 0 — old clients keep working against new servers.
-    #[test]
-    fn v1_payloads_negotiate_with_corr_zero(snap in arb_snapshot()) {
-        let msg = Request::PublishFull {
-            site: SiteId(2),
-            tenant: TenantId(5),
-            snapshot: snap,
-            version: 9,
-        };
-        let framed = wire::encode_frame(&msg).unwrap();
-        let frame = wire::decode_frame_payload::<Request>(&framed[4..]).expect("v1 negotiates");
-        prop_assert_eq!(frame.version, wire::WIRE_V1);
-        prop_assert_eq!(frame.corr, 0);
-        prop_assert_eq!(frame.msg, msg);
     }
 
     /// Truncating a flat frame is always rejected, never misread — the

@@ -73,9 +73,14 @@ fn sig_only_producers_impede_and_are_reported() {
     );
     let p = Phaser::new_unregistered(&rt);
     let q = Phaser::new(&rt);
+    // Rendezvous: the consumer may await p only once the producer is
+    // registered on it. Before that p has no signaller, the await resolves
+    // at once, and no cycle ever forms.
+    let (registered, producer_registered) = std::sync::mpsc::channel();
     let (p2, q2) = (p.clone(), q.clone());
     rt.spawn_clocked(&[&q], move || {
         p2.register_with_mode(RegMode::Sig).unwrap();
+        registered.send(()).unwrap();
         // Producer never signals p: it blocks on q first (q's laggard is
         // the consumer).
         let _ = q2.arrive_and_await();
@@ -83,6 +88,7 @@ fn sig_only_producers_impede_and_are_reported() {
     let (p3, q3) = (p.clone(), q.clone());
     rt.spawn_clocked(&[&q], move || {
         p3.register_with_mode(RegMode::Wait).unwrap();
+        producer_registered.recv().unwrap();
         // Consumer waits p@1 (impeded by the Sig producer) while lagging
         // q (impeding the producer): a two-task cycle.
         let _ = p3.await_phase(1);

@@ -217,10 +217,10 @@ fn run_net_site(role: usize, addr: &str) -> ! {
 }
 
 /// The in-process oracle for the networked run: the same two partitions
-/// through a `MemStore`, checked once.
+/// through a `MemStore`, checked once by the checker every site runs.
 fn net_oracle() -> DeadlockReport {
     use armus::core::{ModelChoice, DEFAULT_SG_THRESHOLD};
-    use armus::dist::check_store;
+    use armus::dist::IncrementalDistChecker;
     let store = MemStore::new();
     for role in 0..2usize {
         let verifier = Verifier::new(VerifierConfig::publish_only());
@@ -228,7 +228,8 @@ fn net_oracle() -> DeadlockReport {
         let (snapshot, version) = verifier.snapshot_with_cursor();
         store.publish_full(SiteId(role as u32), snapshot, version).unwrap();
     }
-    check_store(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD)
+    IncrementalDistChecker::new()
+        .check_round(&store, ModelChoice::Auto, DEFAULT_SG_THRESHOLD)
         .unwrap()
         .report
         .expect("the in-process oracle must find the planted cycle")
