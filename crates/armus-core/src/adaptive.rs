@@ -59,23 +59,6 @@ impl std::fmt::Display for ModelChoice {
 /// The paper's experimentally chosen SG-abort multiplier.
 pub const DEFAULT_SG_THRESHOLD: usize = 2;
 
-/// The final-state form of the adaptive rule, shared with the incremental
-/// engine (which maintains both models and therefore selects *after the
-/// fact* instead of aborting mid-construction): keep the SG while its edge
-/// count is at most `threshold ×` the number of blocked tasks.
-///
-/// The from-scratch builder's prefix-abort can differ on states where an
-/// early prefix exceeded the threshold but the final counts do not; both
-/// rules are calibrated by the same multiplier and, by Theorem 4.8, the
-/// verdict is model-independent either way.
-pub fn auto_pick(sg_edges: usize, blocked_tasks: usize, threshold: usize) -> GraphModel {
-    if sg_edges <= threshold * blocked_tasks {
-        GraphModel::Sg
-    } else {
-        GraphModel::Wfg
-    }
-}
-
 /// Result of building the analysis graph for one check.
 pub struct BuiltGraph {
     /// Which model the finished graph uses.

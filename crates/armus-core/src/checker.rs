@@ -124,15 +124,17 @@ impl ReportDedup {
     }
 }
 
-/// Statistics of a single check, fed to [`crate::stats::StatsCollector`]
-/// and ultimately to Table 3.
+/// Statistics of a single check, fed to [`crate::stats::StatsCollector`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckStats {
-    /// Model the check used after selection.
-    pub model: GraphModel,
-    /// Vertices of the analysed graph.
+    /// Model the check built after selection; `None` when no model was
+    /// built because the incremental engine's maintained GRG answered the
+    /// check by itself.
+    pub model: Option<GraphModel>,
+    /// Vertices of the analysed graph (the built model's, or the
+    /// maintained GRG's when `model` is `None`).
     pub nodes: usize,
-    /// Edges of the analysed graph.
+    /// Edges of the analysed graph (as for `nodes`).
     pub edges: usize,
     /// Blocked tasks in the snapshot.
     pub blocked_tasks: usize,
@@ -206,7 +208,7 @@ pub fn check_task(
 
 fn stats_of(built: &BuiltGraph, snapshot: &Snapshot) -> CheckStats {
     CheckStats {
-        model: built.model,
+        model: Some(built.model),
         nodes: built.node_count(),
         edges: built.edge_count(),
         blocked_tasks: snapshot.len(),
@@ -367,12 +369,12 @@ mod tests {
     #[test]
     fn check_stats_report_model_and_sizes() {
         let out = check(&deadlocked_snapshot(), ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert_eq!(out.stats.model, GraphModel::Wfg);
+        assert_eq!(out.stats.model, Some(GraphModel::Wfg));
         assert_eq!(out.stats.blocked_tasks, 4);
         assert_eq!(out.stats.nodes, 4);
         assert_eq!(out.stats.edges, 6); // Figure 5a
         let out = check(&deadlocked_snapshot(), ModelChoice::FixedSg, DEFAULT_SG_THRESHOLD);
-        assert_eq!(out.stats.model, GraphModel::Sg);
+        assert_eq!(out.stats.model, Some(GraphModel::Sg));
         assert_eq!(out.stats.nodes, 2); // Figure 5c
     }
 

@@ -1,53 +1,60 @@
-//! The incremental dependency engine: a persistently-maintained SG and WFG
-//! fed by the registry's delta journal, replacing snapshot-clone-and-rebuild
-//! on the check hot path.
+//! The incremental dependency engine: a persistently maintained General
+//! Resource Graph (GRG, Definition 4.4) fed by the registry's delta
+//! journal, replacing snapshot-clone-and-rebuild on the check hot path.
 //!
 //! The paper observes that "maintaining the blocked status is more frequent
 //! than checking for deadlocks" (§5.1); before this module existed every
 //! check nevertheless cloned the full registry and rebuilt its graph from
 //! nothing, making check cost proportional to the number of blocked tasks.
-//! The [`IncrementalEngine`] instead applies block/unblock [`Delta`]s to
-//! long-lived, reference-counted edge multisets, so per-check work is
-//! proportional to the *delta* since the last check:
+//! The [`IncrementalEngine`] instead applies block/unblock [`Delta`]s to one
+//! long-lived, reference-counted edge multiset — the bipartite GRG
+//! restricted to awaited events: a **wait** edge `t → r` for every
+//! `r ∈ W(t)` and an **impede** edge `r → t` for every awaited `r` that a
+//! registration of `t` lags behind. Its size is a sum,
+//! `Σ_t (|W(t)| + |I(t) ∩ awaited|)`, never the product a WFG reaches on
+//! wide barriers; and by Lemmas 4.5/4.6 contracting its resource vertices
+//! gives the WFG and contracting its task vertices gives the SG, so it has
+//! a cycle — through a given task, too — exactly when they do (Theorem
+//! 4.8). One graph therefore answers both avoidance and detection:
 //!
 //! * [`IncrementalEngine::sync`] pulls the journal suffix since the
-//!   engine's cursor and applies each delta in `O(local degree)`; a cursor
-//!   that fell behind the bounded journal triggers a snapshot resync.
-//! * [`IncrementalEngine::check_task`] (avoidance) runs an existence-only
-//!   cycle search directly over the maintained adjacency — no clone, no
-//!   rebuild.
-//! * [`IncrementalEngine::check_full`] (detection) answers from maintained
-//!   Pearce–Kelly topological orders ([`crate::graph::TopoOrder`], one per
-//!   model): every distinct-edge insertion updates the order in
-//!   `O(affected region)`, so detection-time cycle existence is `O(1)` —
-//!   a cycle exists iff some edge could not be ordered. The old full-graph
-//!   existence pass survives as [`IncrementalEngine::check_full_scan`]
-//!   (the differential baseline, and the parallel-peel path).
-//! * Only on a **hit** (a cycle exists, i.e. the program is about to
-//!   deadlock) does the engine materialise its state into a sorted
-//!   [`Snapshot`] and delegate to the canonical [`checker`], so delivered
-//!   reports are byte-identical to the from-scratch oracle's — the
-//!   `prop_engine` equivalence suite asserts exactly that.
+//!   engine's cursor and applies each delta in `O(local degree)`, using
+//!   per-phaser `BTreeMap<Phase, …>` range indexes to find the events a
+//!   registration impedes and the laggards of a newly awaited event; a
+//!   cursor that fell behind the bounded journal triggers a snapshot
+//!   resync ([`IncrementalEngine::reset_to`]), which builds the adjacency
+//!   first and then the order in one `O(V + E)` topological sort.
+//! * A Pearce–Kelly topological order of the GRG ([`TopoOrder`]) is
+//!   updated on every distinct-edge insertion and deletion, so cycle
+//!   existence is `O(1)` while the order holds no pending edge — a cycle
+//!   exists iff some edge could not be ordered.
+//!   [`IncrementalEngine::check_full`] (detection) answers from it alone;
+//!   [`IncrementalEngine::check_task`] (avoidance) additionally searches the
+//!   GRG through the task's node, but only when a cycle exists.
+//! * Only on a **hit** does the engine materialise its state into a sorted
+//!   [`Snapshot`] and delegate to the canonical [`checker`] under the
+//!   configured [`ModelChoice`] — the paper's adaptive selection (§5.1)
+//!   happens there — so delivered reports are byte-identical to the
+//!   from-scratch oracle's; the `prop_engine` equivalence suite asserts
+//!   exactly that.
 //!
-//! Edge maintenance uses contribution counting. For the SG, the count of
-//! edge `r1 → r2` is the number of `(task u, registration g, wait
-//! occurrence w)` triples with `g ∈ u.registered`, `g.impedes(r1)`,
-//! `w = r2 ∈ W(u)`, restricted to currently-awaited `r1`; the edge exists
-//! while the count is positive. For the WFG, the count of `t1 → t2` is the
-//! number of `(wait occurrence w ∈ W(t1), g ∈ t2.registered)` pairs with
-//! `g.impedes(w)`. Applying a delta adjusts exactly the triples the
-//! arriving or departing task participates in, so unblocking is the exact
-//! mirror of blocking and the structures drain back to empty.
+//! Edge maintenance uses contribution counting: a wait edge counts the
+//! occurrences of `r` in `W(t)`, an impede edge the registrations of `t`
+//! that impede `r`; the edge exists while the count is positive. Applying a
+//! delta adjusts exactly the contributions the arriving or departing task
+//! takes part in, so unblocking is the exact mirror of blocking and the
+//! structures drain back to empty.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
+use std::ops::Bound;
 
-use crate::adaptive::{auto_pick, GraphModel, ModelChoice};
+use crate::adaptive::ModelChoice;
 use crate::checker::{self, CheckOutcome, CheckStats};
 use crate::deps::{BlockedInfo, Delta, JournalRead, Registry, Snapshot};
 use crate::graph::TopoOrder;
+use crate::grg::GrgNode;
 use crate::ids::{Phase, PhaserId, TaskId};
-use crate::resource::Resource;
+use crate::resource::{Registration, Resource};
 
 /// What one [`IncrementalEngine::sync`] did, for the stats counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,111 +78,37 @@ pub struct DetectionOutcome {
     pub incremental: bool,
 }
 
-/// Refcounted adjacency: `adj[a][b]` is the number of live contributions
-/// to edge `a → b`; the edge exists while the count is positive.
-type RefCountedAdj<N> = HashMap<N, HashMap<N, usize>>;
-
-fn bump_edge<N: Copy + Eq + Hash>(
-    adj: &mut RefCountedAdj<N>,
-    order: &mut TopoOrder<N>,
-    edges: &mut usize,
-    from: N,
-    to: N,
-) {
-    let count = adj.entry(from).or_default().entry(to).or_insert(0);
-    *count += 1;
-    if *count == 1 {
-        *edges += 1;
-        order.insert_edge(from, to);
-    }
-}
-
-fn drop_edge<N: Copy + Eq + Hash>(
-    adj: &mut RefCountedAdj<N>,
-    order: &mut TopoOrder<N>,
-    edges: &mut usize,
-    from: N,
-    to: N,
-) {
-    let succs = adj.get_mut(&from).expect("dropping an edge that was never added");
-    let count = succs.get_mut(&to).expect("dropping an edge that was never added");
-    *count -= 1;
-    if *count == 0 {
-        succs.remove(&to);
-        if succs.is_empty() {
-            adj.remove(&from);
-        }
-        *edges -= 1;
-        order.remove_edge(from, to);
-    }
-}
-
 /// The long-lived maintained graph. One per [`crate::Verifier`]; updates
 /// are applied by whichever thread holds the verifier's engine lock.
+#[derive(Default)]
 pub struct IncrementalEngine {
-    /// Node count above which [`IncrementalEngine::check_full_scan`]
-    /// parallelises its existence pass (defaults to
-    /// [`PAR_NODE_THRESHOLD`]; injectable so tests and the simulation
-    /// testkit can force the parallel branch on small graphs).
-    par_threshold: usize,
     /// Journal position: the next delta sequence number to consume.
     cursor: u64,
     /// The engine's materialised view of the registry.
     tasks: HashMap<TaskId, BlockedInfo>,
-    /// Per phaser, the awaited phases and their waiter counts (the SG
-    /// vertex multiset, indexed for `impedes` range queries).
+    /// Per phaser, the awaited phases and their wait-occurrence counts:
+    /// the GRG's resource vertices, ranged over by local phase to find
+    /// the events a registration impedes.
     awaited: HashMap<PhaserId, BTreeMap<Phase, usize>>,
-    /// Distinct awaited events (SG vertex count).
-    sg_nodes: usize,
-    /// SG adjacency with contribution counts.
-    sg_adj: RefCountedAdj<Resource>,
-    /// Distinct SG edges.
-    sg_edges: usize,
-    /// Per phaser, one `(task, local phase)` entry per registration.
-    regs_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
-    /// Per phaser, one `(task, awaited phase)` entry per wait occurrence.
-    waiters_by_phaser: HashMap<PhaserId, Vec<(TaskId, Phase)>>,
-    /// WFG adjacency with contribution counts.
-    wfg_adj: RefCountedAdj<TaskId>,
-    /// Distinct WFG edges.
-    wfg_edges: usize,
-    /// Pearce–Kelly topological order of the distinct SG edges, updated on
-    /// every 0→1 / 1→0 refcount transition.
-    sg_order: TopoOrder<Resource>,
-    /// Pearce–Kelly topological order of the distinct WFG edges.
-    wfg_order: TopoOrder<TaskId>,
-}
-
-impl Default for IncrementalEngine {
-    fn default() -> Self {
-        IncrementalEngine {
-            par_threshold: PAR_NODE_THRESHOLD,
-            cursor: 0,
-            tasks: HashMap::new(),
-            awaited: HashMap::new(),
-            sg_nodes: 0,
-            sg_adj: HashMap::new(),
-            sg_edges: 0,
-            regs_by_phaser: HashMap::new(),
-            waiters_by_phaser: HashMap::new(),
-            wfg_adj: HashMap::new(),
-            wfg_edges: 0,
-            sg_order: TopoOrder::new(),
-            wfg_order: TopoOrder::new(),
-        }
-    }
+    /// Distinct awaited events (resource vertex count).
+    resources: usize,
+    /// Per phaser, the blocked tasks registered at each local phase with
+    /// their registration counts: the laggards of event `(p, n)` are the
+    /// range `..n`.
+    registered: HashMap<PhaserId, BTreeMap<Phase, HashMap<TaskId, usize>>>,
+    /// GRG adjacency with contribution counts.
+    adj: HashMap<GrgNode, HashMap<GrgNode, usize>>,
+    /// Distinct GRG edges.
+    edges: usize,
+    /// Pearce–Kelly topological order of the distinct GRG edges, updated
+    /// on every 0→1 / 1→0 contribution-count transition.
+    order: TopoOrder<GrgNode>,
 }
 
 impl IncrementalEngine {
     /// An empty engine at journal position 0.
     pub fn new() -> IncrementalEngine {
         IncrementalEngine::default()
-    }
-
-    /// An empty engine whose parallel-existence threshold is `threshold`
-    /// instead of [`PAR_NODE_THRESHOLD`].
-    pub fn with_par_threshold(threshold: usize) -> IncrementalEngine {
-        IncrementalEngine { par_threshold: threshold.max(1), ..IncrementalEngine::default() }
     }
 
     /// Brings the maintained graph up to date with `registry`: applies the
@@ -212,140 +145,160 @@ impl IncrementalEngine {
     }
 
     /// Discards the maintained graph and rebuilds it from `snapshot`
-    /// (consumer joins and journal-truncation recovery). The journal
-    /// cursor is preserved — [`IncrementalEngine::sync`] manages it.
+    /// (consumer joins and journal-truncation recovery) in bulk: indexes
+    /// and adjacency first, then the order in one `O(V + E)` topological
+    /// sort ([`TopoOrder::from_adjacency`]). The journal cursor is preserved —
+    /// [`IncrementalEngine::sync`] manages it.
     pub fn reset_to(&mut self, snapshot: &Snapshot) {
-        *self = IncrementalEngine {
-            cursor: self.cursor,
-            par_threshold: self.par_threshold,
-            ..IncrementalEngine::default()
-        };
-        for info in &snapshot.tasks {
-            self.apply_block(info.clone());
+        *self = IncrementalEngine { cursor: self.cursor, ..IncrementalEngine::default() };
+        // A later status of the same task replaces an earlier one, as a
+        // replayed `Block` would.
+        let tasks: HashMap<TaskId, BlockedInfo> =
+            snapshot.tasks.iter().map(|info| (info.task, info.clone())).collect();
+        for info in tasks.values() {
+            self.index(info);
+            for &w in &info.waits {
+                *self.awaited.entry(w.phaser).or_default().entry(w.phase).or_insert(0) += 1;
+            }
+        }
+        self.resources = self.awaited.values().map(|phases| phases.len()).sum();
+        for info in tasks.values() {
+            let t = GrgNode::Task(info.task);
+            for &w in &info.waits {
+                *self.adj.entry(t).or_default().entry(GrgNode::Res(w)).or_insert(0) += 1;
+            }
+            for reg in &info.registered {
+                for r in self.impeded_by(reg) {
+                    *self.adj.entry(GrgNode::Res(r)).or_default().entry(t).or_insert(0) += 1;
+                }
+            }
+        }
+        self.tasks = tasks;
+        self.edges = self.adj.values().map(|succs| succs.len()).sum();
+        self.order = TopoOrder::from_adjacency(&self.adj);
+    }
+
+    /// Adds `by` contributions to `from → to`; a new distinct edge enters
+    /// the order.
+    fn bump(&mut self, from: GrgNode, to: GrgNode, by: usize) {
+        let count = self.adj.entry(from).or_default().entry(to).or_insert(0);
+        *count += by;
+        if *count == by {
+            self.edges += 1;
+            self.order.insert_edge(from, to);
+        }
+    }
+
+    /// Withdraws `by` contributions from `from → to`; an edge whose count
+    /// reaches zero leaves the graph and the order.
+    fn unbump(&mut self, from: GrgNode, to: GrgNode, by: usize) {
+        let succs = self.adj.get_mut(&from).expect("dropping an edge that was never added");
+        let count = succs.get_mut(&to).expect("dropping an edge that was never added");
+        *count -= by;
+        if *count == 0 {
+            succs.remove(&to);
+            if succs.is_empty() {
+                self.adj.remove(&from);
+            }
+            self.edges -= 1;
+            self.order.remove_edge(from, to);
+        }
+    }
+
+    /// The awaited events `reg` impedes: its phaser's awaited phases
+    /// strictly above its local phase.
+    fn impeded_by(&self, reg: &Registration) -> Vec<Resource> {
+        self.awaited
+            .get(&reg.phaser)
+            .into_iter()
+            .flat_map(|phases| phases.range((Bound::Excluded(reg.local_phase), Bound::Unbounded)))
+            .map(|(&n, _)| Resource::new(reg.phaser, n))
+            .collect()
+    }
+
+    /// The blocked tasks lagging behind `r`, with the number of their
+    /// registrations that do.
+    fn laggards(&self, r: Resource) -> Vec<(TaskId, usize)> {
+        self.registered
+            .get(&r.phaser)
+            .into_iter()
+            .flat_map(|phases| phases.range(..r.phase))
+            .flat_map(|(_, tasks)| tasks.iter().map(|(&u, &regs)| (u, regs)))
+            .collect()
+    }
+
+    fn index(&mut self, info: &BlockedInfo) {
+        for reg in &info.registered {
+            *self
+                .registered
+                .entry(reg.phaser)
+                .or_default()
+                .entry(reg.local_phase)
+                .or_default()
+                .entry(info.task)
+                .or_insert(0) += 1;
+        }
+    }
+
+    fn unindex(&mut self, info: &BlockedInfo) {
+        for reg in &info.registered {
+            let phases = self.registered.get_mut(&reg.phaser).expect("indexed registration");
+            let tasks = phases.get_mut(&reg.local_phase).expect("indexed local phase");
+            let regs = tasks.get_mut(&info.task).expect("indexed registration entry");
+            *regs -= 1;
+            if *regs == 0 {
+                tasks.remove(&info.task);
+                if tasks.is_empty() {
+                    phases.remove(&reg.local_phase);
+                    if phases.is_empty() {
+                        self.registered.remove(&reg.phaser);
+                    }
+                }
+            }
         }
     }
 
     fn apply_block(&mut self, info: BlockedInfo) {
         // Re-blocking replaces the previous record (registry semantics).
         self.apply_unblock(info.task);
+        let t = GrgNode::Task(info.task);
 
-        // The arriving task's contributions against the *existing* state:
-        // SG edges from every already-awaited event one of its
-        // registrations impedes, WFG edges towards every already-blocked
-        // task lagging behind one of its waits.
+        // Impede edges into the arriving task from every already-awaited
+        // event one of its registrations lags behind.
         for reg in &info.registered {
-            if let Some(phases) = self.awaited.get(&reg.phaser) {
-                let sources: Vec<Resource> = phases
-                    .range(reg.local_phase + 1..)
-                    .map(|(&n, _)| Resource::new(reg.phaser, n))
-                    .collect();
-                for r1 in sources {
-                    for &r2 in &info.waits {
-                        bump_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, r1, r2);
-                    }
-                }
+            for r in self.impeded_by(reg) {
+                self.bump(GrgNode::Res(r), t, 1);
             }
         }
-        for &w in &info.waits {
-            let laggards: Vec<TaskId> = self
-                .regs_by_phaser
-                .get(&w.phaser)
-                .into_iter()
-                .flatten()
-                .filter(|&&(_, m)| m < w.phase)
-                .map(|&(u, _)| u)
-                .collect();
-            for u in laggards {
-                bump_edge(
-                    &mut self.wfg_adj,
-                    &mut self.wfg_order,
-                    &mut self.wfg_edges,
-                    info.task,
-                    u,
-                );
-            }
-        }
+        self.index(&info);
 
-        // Index the task.
-        for reg in &info.registered {
-            self.regs_by_phaser.entry(reg.phaser).or_default().push((info.task, reg.local_phase));
-        }
-        for w in &info.waits {
-            self.waiters_by_phaser.entry(w.phaser).or_default().push((info.task, w.phase));
-        }
-        self.tasks.insert(info.task, info.clone());
-
-        // WFG edges *into* the arriving task from every waiter (itself
-        // included — self-waits are self-deadlocks) one of its
-        // registrations impedes.
-        for reg in &info.registered {
-            if let Some(waiters) = self.waiters_by_phaser.get(&reg.phaser) {
-                let sources: Vec<TaskId> = waiters
-                    .iter()
-                    .filter(|&&(_, n)| n > reg.local_phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in sources {
-                    bump_edge(
-                        &mut self.wfg_adj,
-                        &mut self.wfg_order,
-                        &mut self.wfg_edges,
-                        u,
-                        info.task,
-                    );
-                }
-            }
-        }
-
-        // Newly-awaited events become SG vertices, with out-edges from
-        // every registration (of any blocked task, the arriving one
-        // included) lagging behind them.
+        // Wait edges. A newly awaited event becomes a vertex with impede
+        // edges to every laggard (the arriving task included), added
+        // before its wait edge so the fresh vertex is ordered below them.
         for &w in &info.waits {
             let waiters = self.awaited.entry(w.phaser).or_default().entry(w.phase).or_insert(0);
             *waiters += 1;
             if *waiters == 1 {
-                self.sg_nodes += 1;
-                let laggards: Vec<TaskId> = self
-                    .regs_by_phaser
-                    .get(&w.phaser)
-                    .into_iter()
-                    .flatten()
-                    .filter(|&&(_, m)| m < w.phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in laggards {
-                    let targets = self.tasks[&u].waits.clone();
-                    for r2 in targets {
-                        bump_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, w, r2);
-                    }
+                self.resources += 1;
+                for (u, regs) in self.laggards(w) {
+                    self.bump(GrgNode::Res(w), GrgNode::Task(u), regs);
                 }
             }
+            self.bump(t, GrgNode::Res(w), 1);
         }
+        self.tasks.insert(info.task, info);
     }
 
     fn apply_unblock(&mut self, task: TaskId) {
-        let Some(info) = self.tasks.get(&task).cloned() else { return };
+        let Some(info) = self.tasks.remove(&task) else { return };
+        let t = GrgNode::Task(task);
 
-        // Exact mirror of `apply_block`, in reverse order.
-
-        // WFG edges into the departing task.
-        for reg in &info.registered {
-            if let Some(waiters) = self.waiters_by_phaser.get(&reg.phaser) {
-                let sources: Vec<TaskId> = waiters
-                    .iter()
-                    .filter(|&&(_, n)| n > reg.local_phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in sources {
-                    drop_edge(&mut self.wfg_adj, &mut self.wfg_order, &mut self.wfg_edges, u, task);
-                }
-            }
-        }
-
-        // SG vertices that lose their last waiter retire with all their
-        // out-edges (every laggard's contributions, the departing task's
-        // included).
+        // Mirror of `apply_block`: wait edges first, and events that lose
+        // their last waiter retire with their impede edges (the departing
+        // task, still indexed, included); then the task's impede edges
+        // into the events that stay awaited.
         for &w in &info.waits {
+            self.unbump(t, GrgNode::Res(w), 1);
             let phases = self.awaited.get_mut(&w.phaser).expect("awaited entry for live wait");
             let waiters = phases.get_mut(&w.phase).expect("waiter count for live wait");
             *waiters -= 1;
@@ -354,74 +307,16 @@ impl IncrementalEngine {
                 if phases.is_empty() {
                     self.awaited.remove(&w.phaser);
                 }
-                self.sg_nodes -= 1;
-                let laggards: Vec<TaskId> = self
-                    .regs_by_phaser
-                    .get(&w.phaser)
-                    .into_iter()
-                    .flatten()
-                    .filter(|&&(_, m)| m < w.phase)
-                    .map(|&(u, _)| u)
-                    .collect();
-                for u in laggards {
-                    let targets = self.tasks[&u].waits.clone();
-                    for r2 in targets {
-                        drop_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, w, r2);
-                    }
+                self.resources -= 1;
+                for (u, regs) in self.laggards(w) {
+                    self.unbump(GrgNode::Res(w), GrgNode::Task(u), regs);
                 }
             }
         }
-
-        // Unindex the task: one entry per registration / wait occurrence.
+        self.unindex(&info);
         for reg in &info.registered {
-            let list = self.regs_by_phaser.get_mut(&reg.phaser).expect("indexed registration");
-            let at = list
-                .iter()
-                .position(|&(u, m)| u == task && m == reg.local_phase)
-                .expect("indexed registration entry");
-            list.swap_remove(at);
-            if list.is_empty() {
-                self.regs_by_phaser.remove(&reg.phaser);
-            }
-        }
-        for w in &info.waits {
-            let list = self.waiters_by_phaser.get_mut(&w.phaser).expect("indexed wait");
-            let at = list
-                .iter()
-                .position(|&(u, n)| u == task && n == w.phase)
-                .expect("indexed wait entry");
-            list.swap_remove(at);
-            if list.is_empty() {
-                self.waiters_by_phaser.remove(&w.phaser);
-            }
-        }
-        self.tasks.remove(&task);
-
-        // The departing task's contributions against the surviving state.
-        for reg in &info.registered {
-            if let Some(phases) = self.awaited.get(&reg.phaser) {
-                let sources: Vec<Resource> = phases
-                    .range(reg.local_phase + 1..)
-                    .map(|(&n, _)| Resource::new(reg.phaser, n))
-                    .collect();
-                for r1 in sources {
-                    for &r2 in &info.waits {
-                        drop_edge(&mut self.sg_adj, &mut self.sg_order, &mut self.sg_edges, r1, r2);
-                    }
-                }
-            }
-        }
-        for &w in &info.waits {
-            let laggards: Vec<TaskId> = self
-                .regs_by_phaser
-                .get(&w.phaser)
-                .into_iter()
-                .flatten()
-                .filter(|&&(_, m)| m < w.phase)
-                .map(|&(u, _)| u)
-                .collect();
-            for u in laggards {
-                drop_edge(&mut self.wfg_adj, &mut self.wfg_order, &mut self.wfg_edges, task, u);
+            for r in self.impeded_by(reg) {
+                self.unbump(GrgNode::Res(r), t, 1);
             }
         }
     }
@@ -438,61 +333,43 @@ impl IncrementalEngine {
         self.cursor
     }
 
-    /// The model a check at the current state uses. `Auto` applies the
-    /// final-state form of the paper's threshold rule (see
-    /// [`auto_pick`]) — order-free, unlike the from-scratch builder's
-    /// mid-construction abort, but calibrated identically.
-    pub fn model_for(&self, choice: ModelChoice, threshold: usize) -> GraphModel {
-        match choice {
-            ModelChoice::FixedWfg => GraphModel::Wfg,
-            ModelChoice::FixedSg => GraphModel::Sg,
-            ModelChoice::Auto => auto_pick(self.sg_edges, self.tasks.len(), threshold),
-        }
-    }
-
-    fn stats_for(&self, choice: ModelChoice, model: GraphModel) -> CheckStats {
+    /// Stats of a check the maintained GRG answered by itself (no model
+    /// was built, so `model` is `None`).
+    fn grg_stats(&self) -> CheckStats {
         CheckStats {
-            model,
-            nodes: match model {
-                GraphModel::Wfg => self.tasks.len(),
-                GraphModel::Sg => self.sg_nodes,
-            },
-            edges: match model {
-                GraphModel::Wfg => self.wfg_edges,
-                GraphModel::Sg => self.sg_edges,
-            },
+            model: None,
+            nodes: self.tasks.len() + self.resources,
+            edges: self.edges,
             blocked_tasks: self.tasks.len(),
-            sg_aborted: choice == ModelChoice::Auto && model == GraphModel::Wfg,
+            sg_aborted: false,
         }
     }
 
-    /// Avoidance check on the maintained graph: is there a cycle through
-    /// `task`'s contribution? The negative (overwhelmingly common) case
-    /// touches only the nodes reachable from `task`; a hit falls back to
-    /// the canonical checker over the materialised snapshot so the report
-    /// is byte-identical to the from-scratch oracle's.
-    pub fn check_task(&self, task: TaskId, choice: ModelChoice, threshold: usize) -> CheckOutcome {
-        let model = self.model_for(choice, threshold);
-        let hit = match model {
-            GraphModel::Wfg => self.wfg_cycle_through(task),
-            GraphModel::Sg => self.sg_cycle_through(task),
-        };
-        let report = if hit {
-            checker::check_task(&self.materialize(), task, choice, threshold).report
-        } else {
-            None
-        };
-        CheckOutcome { report, stats: self.stats_for(choice, model) }
+    /// Avoidance check: is there a cycle through `task`? "No cycle at
+    /// all" is read off the order (`O(1)` while nothing is pending); only
+    /// when a cycle exists does a search through `task`'s GRG node run,
+    /// and only a cycle through it falls back to the canonical checker
+    /// over the materialised snapshot, so the report and its stats are
+    /// the from-scratch oracle's.
+    pub fn check_task(
+        &mut self,
+        task: TaskId,
+        choice: ModelChoice,
+        threshold: usize,
+    ) -> CheckOutcome {
+        if self.order.has_cycle() && self.cycle_through(task) {
+            return checker::check_task(&self.materialize(), task, choice, threshold);
+        }
+        CheckOutcome { report: None, stats: self.grg_stats() }
     }
 
     /// Detection check answered from the maintained Pearce–Kelly order:
     /// is there any cycle? Cycle existence is read off the order state —
     /// `O(1)` when no insertion was deferred, `O(affected region)`
     /// amortised over the deltas that built it — instead of walking the
-    /// whole refcounted adjacency. As with
-    /// [`IncrementalEngine::check_task`], only a hit materialises a
-    /// snapshot and delegates to the canonical [`checker`], so reports
-    /// stay byte-identical to the from-scratch oracle's.
+    /// whole graph. As with [`IncrementalEngine::check_task`], only a hit
+    /// materialises a snapshot and delegates to the canonical [`checker`],
+    /// so reports stay byte-identical to the from-scratch oracle's.
     pub fn check_full(&mut self, choice: ModelChoice, threshold: usize) -> CheckOutcome {
         self.check_full_detailed(choice, threshold).outcome
     }
@@ -504,53 +381,21 @@ impl IncrementalEngine {
         choice: ModelChoice,
         threshold: usize,
     ) -> DetectionOutcome {
-        let model = self.model_for(choice, threshold);
-        let hit = self.order_cycle_exists(model);
-        let report =
-            if hit { checker::check(&self.materialize(), choice, threshold).report } else { None };
-        DetectionOutcome {
-            outcome: CheckOutcome { report, stats: self.stats_for(choice, model) },
-            incremental: !hit,
-        }
-    }
-
-    /// Detection check by full scan of the maintained adjacency — the
-    /// pre-order-maintenance path, kept as the differential baseline for
-    /// [`IncrementalEngine::check_full`] and as the parallel option for
-    /// one-shot checks over merged state.
-    ///
-    /// Above [`PAR_NODE_THRESHOLD`] nodes the existence pass fans out over
-    /// [`crate::graph::DiGraph::has_cycle_par`] workers (when the host has
-    /// more than one core): the maintained adjacency is flattened into a
-    /// dense graph — `O(V + E)`, the same order as the scan itself — and
-    /// peeled in parallel.
-    pub fn check_full_scan(&self, choice: ModelChoice, threshold: usize) -> CheckOutcome {
-        let model = self.model_for(choice, threshold);
-        let hit = match model {
-            GraphModel::Wfg => cycle_exists(&self.wfg_adj, self.tasks.len(), self.par_threshold),
-            GraphModel::Sg => cycle_exists(&self.sg_adj, self.sg_nodes, self.par_threshold),
+        let hit = self.order.has_cycle();
+        let outcome = if hit {
+            checker::check(&self.materialize(), choice, threshold)
+        } else {
+            CheckOutcome { report: None, stats: self.grg_stats() }
         };
-        let report =
-            if hit { checker::check(&self.materialize(), choice, threshold).report } else { None };
-        CheckOutcome { report, stats: self.stats_for(choice, model) }
+        DetectionOutcome { outcome, incremental: !hit }
     }
 
-    /// Cycle existence for `model`, answered from its maintained order
-    /// (deferred-edge retries run here; `&mut` is the amortisation).
-    pub fn order_cycle_exists(&mut self, model: GraphModel) -> bool {
-        match model {
-            GraphModel::Wfg => self.wfg_order.has_cycle(),
-            GraphModel::Sg => self.sg_order.has_cycle(),
-        }
-    }
-
-    /// Checks both maintained orders against the distinct-edge lists: every
-    /// edge accounted for, committed edges strictly ascending in label.
-    /// Test/testkit hook — `Err` means order maintenance has diverged from
-    /// the refcounted adjacency.
+    /// Checks the maintained order against the distinct GRG edge list:
+    /// every edge accounted for, committed edges strictly ascending in
+    /// label. Test/testkit hook — `Err` means order maintenance has
+    /// diverged from the refcounted adjacency.
     pub fn order_invariants(&self) -> Result<(), String> {
-        self.wfg_order.validate(&self.wfg_edge_list()).map_err(|e| format!("wfg order: {e}"))?;
-        self.sg_order.validate(&self.sg_edge_list()).map_err(|e| format!("sg order: {e}"))
+        self.order.validate(&self.distinct_edges()).map_err(|e| format!("grg order: {e}"))
     }
 
     /// The maintained view as a sorted [`Snapshot`] (identical, entry for
@@ -559,16 +404,20 @@ impl IncrementalEngine {
         Snapshot::from_tasks(self.tasks.values().cloned().collect())
     }
 
-    fn wfg_cycle_through(&self, start: TaskId) -> bool {
-        let Some(succs) = self.wfg_adj.get(&start) else { return false };
-        let mut stack: Vec<TaskId> = succs.keys().copied().collect();
-        let mut seen: HashSet<TaskId> = HashSet::new();
-        while let Some(u) = stack.pop() {
-            if u == start {
+    /// Is there a GRG cycle through `task`'s node? By Lemmas 4.5/4.6 this
+    /// is a WFG cycle through the task, and an SG cycle through one of its
+    /// edges.
+    fn cycle_through(&self, task: TaskId) -> bool {
+        let start = GrgNode::Task(task);
+        let Some(succs) = self.adj.get(&start) else { return false };
+        let mut stack: Vec<GrgNode> = succs.keys().copied().collect();
+        let mut seen: HashSet<GrgNode> = HashSet::new();
+        while let Some(n) = stack.pop() {
+            if n == start {
                 return true;
             }
-            if seen.insert(u) {
-                if let Some(next) = self.wfg_adj.get(&u) {
+            if seen.insert(n) {
+                if let Some(next) = self.adj.get(&n) {
                     stack.extend(next.keys().copied());
                 }
             }
@@ -576,47 +425,60 @@ impl IncrementalEngine {
         false
     }
 
-    /// SG avoidance rule (as in [`checker::check_task`]): a cycle through
-    /// the task's contribution is a path from one of its awaited events
-    /// back to an event it impedes, closed by the task's own edge.
-    fn sg_cycle_through(&self, task: TaskId) -> bool {
-        let Some(info) = self.tasks.get(&task) else { return false };
-        let mut stack: Vec<Resource> = info.waits.clone();
-        let mut seen: HashSet<Resource> = HashSet::new();
-        while let Some(r) = stack.pop() {
-            if seen.insert(r) {
-                if info.impedes(r) {
-                    return true;
-                }
-                if let Some(next) = self.sg_adj.get(&r) {
-                    stack.extend(next.keys().copied());
-                }
-            }
-        }
-        false
+    fn distinct_edges(&self) -> Vec<(GrgNode, GrgNode)> {
+        self.adj.iter().flat_map(|(&a, succs)| succs.keys().map(move |&b| (a, b))).collect()
     }
 
-    // -- structural accessors (equivalence tests, benches) ------------------
+    // -- structural accessors (equivalence tests and benches) ---------------
+    //
+    // The SG and WFG are not maintained: their lists and counts are
+    // contracted from the GRG on demand (Lemma 4.6: `r1 → t → r2` gives
+    // the SG edge `r1 → r2`; Lemma 4.5: `t1 → r → t2` gives the WFG edge
+    // `t1 → t2`), at the cost of a walk over the GRG's two-step paths.
 
-    /// Distinct SG edges, sorted.
-    pub fn sg_edge_list(&self) -> Vec<(Resource, Resource)> {
-        let mut edges: Vec<(Resource, Resource)> = self
-            .sg_adj
-            .iter()
-            .flat_map(|(&r1, succs)| succs.keys().map(move |&r2| (r1, r2)))
-            .collect();
+    /// Distinct GRG edges, sorted.
+    pub fn grg_edge_list(&self) -> Vec<(GrgNode, GrgNode)> {
+        let mut edges = self.distinct_edges();
         edges.sort();
         edges
     }
 
-    /// Distinct WFG edges, sorted.
-    pub fn wfg_edge_list(&self) -> Vec<(TaskId, TaskId)> {
-        let mut edges: Vec<(TaskId, TaskId)> = self
-            .wfg_adj
-            .iter()
-            .flat_map(|(&t1, succs)| succs.keys().map(move |&t2| (t1, t2)))
+    /// Every pair of GRG nodes two steps apart, the middle node
+    /// contracted: task pairs are WFG edges, resource pairs SG edges.
+    fn contracted(&self) -> impl Iterator<Item = (GrgNode, GrgNode)> + '_ {
+        self.adj.iter().flat_map(move |(&n, mid)| {
+            mid.keys()
+                .filter_map(move |m| self.adj.get(m))
+                .flat_map(move |next| next.keys().map(move |&k| (n, k)))
+        })
+    }
+
+    /// Distinct SG edges, sorted: the GRG contracted over its task nodes.
+    pub fn sg_edge_list(&self) -> Vec<(Resource, Resource)> {
+        let mut edges: Vec<(Resource, Resource)> = self
+            .contracted()
+            .filter_map(|pair| match pair {
+                (GrgNode::Res(r1), GrgNode::Res(r2)) => Some((r1, r2)),
+                _ => None,
+            })
             .collect();
         edges.sort();
+        edges.dedup();
+        edges
+    }
+
+    /// Distinct WFG edges, sorted: the GRG contracted over its resource
+    /// nodes.
+    pub fn wfg_edge_list(&self) -> Vec<(TaskId, TaskId)> {
+        let mut edges: Vec<(TaskId, TaskId)> = self
+            .contracted()
+            .filter_map(|pair| match pair {
+                (GrgNode::Task(t1), GrgNode::Task(t2)) => Some((t1, t2)),
+                _ => None,
+            })
+            .collect();
+        edges.sort();
+        edges.dedup();
         edges
     }
 
@@ -638,89 +500,22 @@ impl IncrementalEngine {
         nodes
     }
 
-    /// Distinct SG edge count of the maintained graph.
+    /// Distinct SG edge count, contracted on demand.
     pub fn sg_edge_count(&self) -> usize {
-        self.sg_edges
+        self.sg_edge_list().len()
     }
 
-    /// Distinct WFG edge count of the maintained graph.
+    /// Distinct WFG edge count, contracted on demand.
     pub fn wfg_edge_count(&self) -> usize {
-        self.wfg_edges
+        self.wfg_edge_list().len()
     }
-}
-
-/// Node count above which [`IncrementalEngine::check_full_scan`]'s
-/// existence pass parallelises (when more than one core is available).
-/// Calibrated well above the paper's workloads: small graphs finish a
-/// sequential DFS faster than they can fan out.
-pub const PAR_NODE_THRESHOLD: usize = 4096;
-
-/// Worker count for the parallel existence pass: the host's available
-/// parallelism, capped — peeling is memory-bound, extra workers past a
-/// small count only contend on the frontier.
-pub fn par_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-}
-
-/// Cycle existence over refcounted adjacency: sequential DFS below the
-/// engine's parallel threshold (or on single-core hosts), parallel peel
-/// above.
-fn cycle_exists<N: Copy + Eq + Hash>(adj: &RefCountedAdj<N>, nodes: usize, par: usize) -> bool {
-    let workers = par_workers();
-    if nodes >= par && workers > 1 {
-        let mut dense = crate::graph::DiGraph::with_capacity(nodes);
-        for (&a, succs) in adj.iter() {
-            for &b in succs.keys() {
-                dense.add_edge(a, b);
-            }
-        }
-        return dense.has_cycle_par(workers);
-    }
-    has_cycle(adj)
-}
-
-/// Existence-only three-colour DFS over refcounted adjacency (no witness:
-/// hits delegate to the canonical checker for that).
-fn has_cycle<N: Copy + Eq + Hash>(adj: &RefCountedAdj<N>) -> bool {
-    const GREY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut colour: HashMap<N, u8> = HashMap::new();
-    let succs_of =
-        |n: N| -> Vec<N> { adj.get(&n).map(|m| m.keys().copied().collect()).unwrap_or_default() };
-    for &root in adj.keys() {
-        if colour.contains_key(&root) {
-            continue;
-        }
-        let mut stack: Vec<(N, Vec<N>, usize)> = vec![(root, succs_of(root), 0)];
-        colour.insert(root, GREY);
-        while let Some((v, succs, next)) = stack.last_mut() {
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                match colour.get(&s) {
-                    None => {
-                        colour.insert(s, GREY);
-                        let s_succs = succs_of(s);
-                        stack.push((s, s_succs, 0));
-                    }
-                    Some(&GREY) => return true,
-                    _ => {}
-                }
-            } else {
-                colour.insert(*v, BLACK);
-                stack.pop();
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::DEFAULT_SG_THRESHOLD;
-    use crate::resource::Registration;
-    use crate::{sg, wfg};
+    use crate::adaptive::{GraphModel, DEFAULT_SG_THRESHOLD};
+    use crate::{grg, sg, wfg};
 
     fn t(n: u64) -> TaskId {
         TaskId(n)
@@ -752,6 +547,11 @@ mod tests {
     /// materialised state.
     fn assert_matches_oracle(engine: &IncrementalEngine) {
         let snap = engine.materialize();
+        assert_eq!(engine.grg_edge_list(), {
+            let mut e = grg::grg(&snap).edges();
+            e.sort();
+            e
+        });
         let oracle_wfg = wfg::wfg(&snap);
         let oracle_sg = sg::sg(&snap);
         assert_eq!(engine.wfg_edge_list(), {
@@ -786,6 +586,7 @@ mod tests {
         engine.apply(Delta::Block(driver()));
         assert_matches_oracle(&engine);
         assert_eq!(engine.wfg_edge_count(), 6); // Figure 5a
+        assert_eq!(engine.grg_edge_list().len(), 8); // Figure 5b
         assert_eq!(engine.sg_edge_count(), 2); // Figure 5c
         assert_eq!(engine.blocked(), 4);
 
@@ -816,9 +617,9 @@ mod tests {
         assert_eq!(engine.sg_edge_count(), 0);
         assert_eq!(engine.wfg_edge_count(), 0);
         assert_eq!(engine.sg_vertex_list(), Vec::<Resource>::new());
-        assert!(engine.sg_adj.is_empty() && engine.wfg_adj.is_empty());
-        assert!(engine.awaited.is_empty());
-        assert!(engine.regs_by_phaser.is_empty() && engine.waiters_by_phaser.is_empty());
+        assert!(engine.adj.is_empty() && engine.order.is_empty());
+        assert_eq!((engine.edges, engine.resources), (0, 0));
+        assert!(engine.awaited.is_empty() && engine.registered.is_empty());
     }
 
     #[test]
@@ -828,10 +629,16 @@ mod tests {
         let mut moved = worker(1);
         moved.waits = vec![r(3, 1)];
         moved.registered = vec![Registration::new(p(3), 1)];
-        engine.apply(Delta::Block(moved));
+        engine.apply(Delta::Block(moved.clone()));
         assert_matches_oracle(&engine);
         assert_eq!(engine.blocked(), 1);
         assert_eq!(engine.sg_vertex_list(), vec![r(3, 1)]);
+        // A bulk rebuild from both statuses keeps the later one too.
+        let mut joiner = IncrementalEngine::new();
+        joiner.reset_to(&Snapshot::from_tasks(vec![worker(1), moved]));
+        assert_eq!(joiner.grg_edge_list(), engine.grg_edge_list());
+        assert_eq!(joiner.materialize(), engine.materialize());
+        joiner.order_invariants().expect("bulk-built order valid");
     }
 
     #[test]
@@ -843,8 +650,9 @@ mod tests {
             vec![Registration::new(p(1), 2)],
         )));
         assert_matches_oracle(&engine);
-        assert!(engine.wfg_cycle_through(t(1)));
-        assert!(engine.sg_cycle_through(t(1)));
+        assert!(engine.cycle_through(t(1)));
+        assert_eq!(engine.wfg_edge_list(), vec![(t(1), t(1))]);
+        assert_eq!(engine.sg_edge_list(), vec![(r(1, 5), r(1, 5))]);
         assert!(engine.check_task(t(1), ModelChoice::Auto, DEFAULT_SG_THRESHOLD).report.is_some());
     }
 
@@ -903,7 +711,7 @@ mod tests {
         registry.block(driver());
         engine.sync(&registry);
         let snap = registry.snapshot();
-        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
             let ours = engine.check_full(choice, DEFAULT_SG_THRESHOLD).report.unwrap();
             let oracle = checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).report.unwrap();
             assert_eq!(
@@ -924,40 +732,106 @@ mod tests {
 
     #[test]
     fn auto_model_follows_the_threshold_rule() {
+        // The engine maintains no model: `Auto` is applied by the
+        // canonical rebuild a hit delegates to, so a hit carries the stats
+        // of exactly the model the from-scratch checker picked.
+        //
+        // SPMD shape closed into a cycle: 64 workers arrived on p1 and
+        // lagging on p2, one driver the other way round — a tiny SG, Auto
+        // keeps it.
         let mut engine = IncrementalEngine::new();
-        // SPMD shape: one barrier, many tasks — tiny SG, Auto keeps it.
         for i in 0..64u64 {
-            let phase = if i == 0 { 0 } else { 1 };
             engine.apply(Delta::Block(BlockedInfo::new(
                 t(i),
                 vec![r(1, 1)],
-                vec![Registration::new(p(1), phase)],
+                vec![Registration::new(p(1), 1), Registration::new(p(2), 0)],
             )));
         }
-        assert_eq!(engine.model_for(ModelChoice::Auto, DEFAULT_SG_THRESHOLD), GraphModel::Sg);
+        engine.apply(Delta::Block(BlockedInfo::new(
+            t(64),
+            vec![r(2, 1)],
+            vec![Registration::new(p(1), 0), Registration::new(p(2), 1)],
+        )));
         let stats = engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD).stats;
-        assert_eq!(stats.model, GraphModel::Sg);
+        assert_eq!(stats.model, Some(GraphModel::Sg));
         assert!(!stats.sg_aborted);
 
-        // Few tasks, many barriers each: the SG explodes, Auto falls back.
+        // Few tasks, many barriers each, closing a cycle: the SG explodes,
+        // Auto falls back to the WFG.
         let mut engine = IncrementalEngine::new();
         for i in 0..4u64 {
-            let regs = (0..64).map(|b| Registration::new(p(b), 0)).collect();
-            engine.apply(Delta::Block(BlockedInfo::new(t(i), vec![r(i % 64, 1)], regs)));
+            let regs = (0..64).map(|b| Registration::new(p(b), u64::from(b == i))).collect();
+            engine.apply(Delta::Block(BlockedInfo::new(t(i), vec![r(i, 1)], regs)));
         }
-        assert_eq!(engine.model_for(ModelChoice::Auto, DEFAULT_SG_THRESHOLD), GraphModel::Wfg);
-        let stats = engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD).stats;
-        assert!(stats.sg_aborted);
+        let out = engine.check_full(ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+        assert!(out.report.is_some());
+        assert_eq!(out.stats.model, Some(GraphModel::Wfg));
+        assert!(out.stats.sg_aborted);
     }
 
     #[test]
-    fn check_full_is_correct_above_the_parallel_threshold() {
-        // More blocked tasks than PAR_NODE_THRESHOLD, one barrier each in
-        // a long chain: task i (arrived on barrier i, lagging on barrier
-        // i-1) — acyclic. `check_full` must dispatch through the
-        // threshold branch and still agree with the oracle.
+    fn check_stats_describe_the_work_done() {
         let mut engine = IncrementalEngine::new();
-        let n = (PAR_NODE_THRESHOLD + 128) as u64;
+        for i in 1..=3 {
+            engine.apply(Delta::Block(worker(i)));
+        }
+        // A miss built no model: the sizes are the maintained GRG's (three
+        // workers and the one event they await, three wait edges; nobody
+        // impedes pc@1 yet).
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
+            let miss = engine.check_full(choice, DEFAULT_SG_THRESHOLD).stats;
+            assert_eq!(
+                miss,
+                CheckStats { model: None, nodes: 4, edges: 3, blocked_tasks: 3, sg_aborted: false }
+            );
+            assert_eq!(engine.check_task(t(1), choice, DEFAULT_SG_THRESHOLD).stats, miss);
+        }
+        // A hit carries the canonical build's stats.
+        engine.apply(Delta::Block(driver()));
+        let snap = engine.materialize();
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
+            let hit = engine.check_full(choice, DEFAULT_SG_THRESHOLD).stats;
+            assert_eq!(hit, checker::check(&snap, choice, DEFAULT_SG_THRESHOLD).stats);
+            let hit = engine.check_task(t(4), choice, DEFAULT_SG_THRESHOLD).stats;
+            assert_eq!(hit, checker::check_task(&snap, t(4), choice, DEFAULT_SG_THRESHOLD).stats);
+        }
+    }
+
+    #[test]
+    fn a_cycle_elsewhere_does_not_implicate_a_bystander() {
+        // Example 4.1's deadlock plus t9, which waits on the cycle's pc@1
+        // (so it reaches the cycle) but impedes nothing: the order reports
+        // a cycle, yet none passes through t9.
+        let mut engine = IncrementalEngine::new();
+        for i in 1..=3 {
+            engine.apply(Delta::Block(worker(i)));
+        }
+        engine.apply(Delta::Block(driver()));
+        engine.apply(Delta::Block(BlockedInfo::new(
+            t(9),
+            vec![r(1, 1)],
+            vec![Registration::new(p(1), 1)],
+        )));
+        assert!(engine.order.has_cycle(), "the workers and the driver are deadlocked");
+        assert!(!engine.cycle_through(t(9)));
+        let snap = engine.materialize();
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
+            let out = engine.check_task(t(9), choice, DEFAULT_SG_THRESHOLD);
+            assert!(out.report.is_none(), "{choice}: t9 is a bystander");
+            assert_eq!(out.stats.model, None, "{choice}: no model was built");
+            let oracle = checker::check_task(&snap, t(9), choice, DEFAULT_SG_THRESHOLD);
+            assert!(oracle.report.is_none(), "{choice}: the oracle agrees");
+            assert!(engine.check_full(choice, DEFAULT_SG_THRESHOLD).report.is_some());
+        }
+    }
+
+    #[test]
+    fn check_full_is_correct_on_a_long_chain() {
+        // 4224 blocked tasks, one barrier each in a long chain: task i
+        // (arrived on barrier i, lagging on barrier i-1) — acyclic. The
+        // order must agree with the from-scratch checker.
+        let mut engine = IncrementalEngine::new();
+        let n = 4224u64;
         for i in 0..n {
             let mut regs = vec![Registration::new(p(i), 1)];
             if i > 0 {
@@ -965,27 +839,31 @@ mod tests {
             }
             engine.apply(Delta::Block(BlockedInfo::new(t(i), vec![r(i, 1)], regs)));
         }
-        assert!(engine.blocked() >= PAR_NODE_THRESHOLD);
-        let scan = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(scan.report.is_none(), "chain shape is deadlock-free");
         let out = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(out.report.is_none(), "order path must agree with the scan");
+        assert!(out.report.is_none(), "chain shape is deadlock-free");
+        engine.order_invariants().expect("order valid on the chain");
         // Close the chain: task 0 re-blocks with an extra lagging
         // registration on the *last* barrier, adding the back edge
-        // t(n-1) → t(0) — a cycle spanning the whole chain.
+        // r(n-1) → t(0) — a cycle spanning the whole chain.
         engine.apply(Delta::Block(BlockedInfo::new(
             t(0),
             vec![r(0, 1)],
             vec![Registration::new(p(0), 1), Registration::new(p(n - 1), 0)],
         )));
-        let scan = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(scan.report.is_some(), "closed chain must be reported");
+        let snap = engine.materialize();
+        let oracle = checker::check(&snap, ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD).report;
+        assert!(oracle.is_some(), "closed chain must be reported");
         let out = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
         assert_eq!(
             serde_json::to_string(&out.report).unwrap(),
-            serde_json::to_string(&scan.report).unwrap(),
-            "order path and scan must deliver the identical report"
+            serde_json::to_string(&oracle).unwrap(),
+            "order path and oracle must deliver the identical report"
         );
+        // The bulk-built order of the same state agrees.
+        let mut joiner = IncrementalEngine::new();
+        joiner.reset_to(&snap);
+        joiner.order_invariants().expect("bulk-built order valid");
+        assert!(joiner.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD).report.is_some());
     }
 
     #[test]
@@ -995,7 +873,7 @@ mod tests {
         for i in 1..=3 {
             engine.apply(Delta::Block(worker(i)));
         }
-        engine.order_invariants().expect("orders valid on the acyclic prefix");
+        engine.order_invariants().expect("order valid on the acyclic prefix");
         for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
             let det = engine.check_full_detailed(choice, DEFAULT_SG_THRESHOLD);
             assert!(det.incremental, "{choice}: no cycle ⇒ answered from the order");
@@ -1003,9 +881,9 @@ mod tests {
         }
 
         // The driver closes the Figure 5 cycle: the hit must fall back to
-        // the canonical rebuild (incremental = false) in both models.
+        // the canonical rebuild (incremental = false) under both fixed models.
         engine.apply(Delta::Block(driver()));
-        engine.order_invariants().expect("orders valid with deferred edges");
+        engine.order_invariants().expect("order valid with deferred edges");
         for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
             let det = engine.check_full_detailed(choice, DEFAULT_SG_THRESHOLD);
             assert!(!det.incremental, "{choice}: a hit must rebuild");
@@ -1013,14 +891,14 @@ mod tests {
         }
 
         // Breaking the cycle drains the deferred edges: detection is
-        // incremental again and the orders stay valid.
+        // incremental again and the order stays valid.
         engine.apply(Delta::Unblock(t(4)));
         for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
             let det = engine.check_full_detailed(choice, DEFAULT_SG_THRESHOLD);
             assert!(det.incremental, "{choice}: cycle removed ⇒ order answers again");
             assert!(det.outcome.report.is_none());
         }
-        engine.order_invariants().expect("orders valid after the retry pass");
+        engine.order_invariants().expect("order valid after the retry pass");
     }
 
     #[test]

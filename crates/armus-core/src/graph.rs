@@ -274,100 +274,6 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
         self.find_cycle_impl(None).is_some()
     }
 
-    /// Parallel cycle-existence test over `workers` scoped threads.
-    ///
-    /// DFS does not parallelise, so this uses *peeling* (parallel Kahn):
-    /// repeatedly delete every node whose in-degree has dropped to zero;
-    /// the graph is cyclic iff nodes survive — a non-empty finite digraph
-    /// with minimum in-degree ≥ 1 contains a cycle, and conversely no
-    /// node of a cycle is ever deleted (its cycle predecessor persists).
-    /// Both the in-degree accumulation and each round's frontier are
-    /// split across workers; rounds whose frontier is small are processed
-    /// inline, so deep thin graphs do not pay per-round spawn costs.
-    ///
-    /// Equivalent to [`DiGraph::has_cycle`] on every input (the graph
-    /// prop suite asserts this); intended for detection-mode full checks
-    /// over very large maintained graphs, where `O(V + E)` per pass is
-    /// worth fanning out.
-    pub fn has_cycle_par(&self, workers: usize) -> bool {
-        use std::sync::atomic::{AtomicU32, Ordering};
-
-        let n = self.nodes.len();
-        let workers = workers.clamp(1, n.max(1));
-        if workers == 1 || n < 2 {
-            return self.has_cycle();
-        }
-        // Frontiers below this size are peeled inline: spawning for a
-        // handful of nodes costs more than the scan it would split.
-        const MIN_PARALLEL_FRONTIER: usize = 1024;
-        let chunk = n.div_ceil(workers);
-        // Capture only the adjacency (not `self`) in worker closures, so
-        // `N` itself does not need to be `Sync`.
-        let adj: &[Vec<u32>] = &self.adj;
-
-        // In-degree accumulation, node-range-parallel.
-        let indeg: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        std::thread::scope(|s| {
-            for range in (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n)) {
-                let indeg = &indeg;
-                s.spawn(move || {
-                    for v in range {
-                        for &t in &adj[v] {
-                            indeg[t as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-
-        let mut frontier: Vec<u32> =
-            (0..n as u32).filter(|&v| indeg[v as usize].load(Ordering::Relaxed) == 0).collect();
-        let mut removed = frontier.len();
-        while !frontier.is_empty() {
-            let next: Vec<u32> = if frontier.len() < MIN_PARALLEL_FRONTIER {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    for &t in &adj[v as usize] {
-                        if indeg[t as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
-                            next.push(t);
-                        }
-                    }
-                }
-                next
-            } else {
-                let fchunk = frontier.len().div_ceil(workers);
-                let mut parts: Vec<Vec<u32>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = frontier
-                        .chunks(fchunk)
-                        .map(|part| {
-                            let indeg = &indeg;
-                            s.spawn(move || {
-                                let mut local = Vec::new();
-                                for &v in part {
-                                    for &t in &adj[v as usize] {
-                                        if indeg[t as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
-                                            local.push(t);
-                                        }
-                                    }
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("peel worker")).collect()
-                });
-                let mut next = parts.pop().unwrap_or_default();
-                for part in parts {
-                    next.extend(part);
-                }
-                next
-            };
-            removed += next.len();
-            frontier = next;
-        }
-        removed < n
-    }
-
     fn find_cycle_impl(&self, only_from: Option<u32>) -> Option<Vec<N>> {
         const WHITE: u8 = 0;
         const GREY: u8 = 1;
@@ -497,9 +403,10 @@ impl<N: Copy + Eq + Hash> DiGraph<N> {
 /// pending edge still cannot be committed. Edge deletion never invalidates
 /// a topological order, so removal is plain bookkeeping.
 ///
-/// This is what lets the engine's detection pass answer cycle existence in
-/// `O(churn since the last check)`: when nothing is pending (the
-/// overwhelmingly common case), `has_cycle` is `O(1)`.
+/// This is what lets the engine answer cycle existence in `O(churn since
+/// the last check)`: when nothing is pending (the overwhelmingly common
+/// case), `has_cycle` is `O(1)`. [`TopoOrder::from_adjacency`] builds the
+/// order of a whole graph in one `O(V + E)` pass instead of `E` inserts.
 #[derive(Clone, Debug)]
 pub struct TopoOrder<N> {
     /// Topological label per live node; unique, never reused.
@@ -534,6 +441,64 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
             next_high: 0,
             next_low: -1,
         }
+    }
+
+    /// Builds the order of a whole graph in one pass, given each node's
+    /// distinct successors as the keys of an inner map (a refcounted
+    /// adjacency passes as is). An iterative DFS labels the nodes in
+    /// reverse postorder, so every edge except the DFS back edges respects
+    /// the order and commits; back edges — present iff the graph has a
+    /// cycle — are deferred as pending. `O(V + E)`, against `E` region
+    /// searches for edge-at-a-time insertion.
+    pub fn from_adjacency<V>(adj: &HashMap<N, HashMap<N, V>>) -> TopoOrder<N> {
+        // Marks a node the DFS has reached but not yet finished.
+        const DISCOVERED: i64 = i64::MIN;
+        let mut order = TopoOrder {
+            ord: HashMap::with_capacity(adj.len()),
+            succs: HashMap::with_capacity(adj.len()),
+            preds: HashMap::with_capacity(adj.len()),
+            ..TopoOrder::new()
+        };
+        let none = HashMap::new();
+        let succs_of = |n: &N| adj.get(n).unwrap_or(&none).keys();
+        // The k-th node to finish gets label `-k`: the first finished lies
+        // above every other.
+        let mut finished = 0;
+        for &root in adj.keys() {
+            if order.ord.contains_key(&root) {
+                continue;
+            }
+            order.ord.insert(root, DISCOVERED);
+            let mut stack = vec![(root, succs_of(&root))];
+            while let Some((v, next)) = stack.last_mut() {
+                let v = *v;
+                match next.next() {
+                    Some(&s) => {
+                        if let std::collections::hash_map::Entry::Vacant(e) = order.ord.entry(s) {
+                            e.insert(DISCOVERED);
+                            stack.push((s, succs_of(&s)));
+                        }
+                    }
+                    None => {
+                        order.ord.insert(v, -finished);
+                        finished += 1;
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        order.next_high = 1;
+        order.next_low = -finished;
+        for (&a, succs) in adj {
+            for &b in succs.keys() {
+                if order.ord[&a] < order.ord[&b] {
+                    order.commit(a, b);
+                } else {
+                    order.pending.push((a, b));
+                }
+            }
+        }
+        order
     }
 
     /// Deferred (candidate-cycle) edge count.
@@ -613,17 +578,17 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
         // Order violation (labels are unique, so oa > ob strictly).
         //
         // `verifier-mutation` plants a deliberate completeness bug here
-        // for the testkit's mutation tier: adjacent-label violations skip
-        // the affected-region forward search and commit unconditionally,
-        // so a back edge closing a 2-cycle (labels always one apart) is
-        // recorded as safe and `has_cycle` under-reports. The per-step
-        // lockstep oracle must catch the divergence. Never enable this
-        // feature in production builds.
+        // for the testkit's mutation tier: the forward window stops one
+        // label short of the source's own (`<` for `≤`), so the search
+        // never reaches `a` and every cycle-closing edge that needs a
+        // region search is reordered and committed as if it were safe —
+        // `has_cycle` under-reports. The per-step lockstep oracle must
+        // catch the divergence. Never enable this feature in production
+        // builds.
+        #[cfg(not(feature = "verifier-mutation"))]
+        let in_window = |o: i64| o <= oa;
         #[cfg(feature = "verifier-mutation")]
-        if oa - ob == 1 {
-            self.commit(a, b);
-            return true;
-        }
+        let in_window = |o: i64| o < oa;
 
         // Forward region: everything reachable from `b` through committed
         // edges within labels ≤ oa. Committed labels increase strictly
@@ -640,7 +605,7 @@ impl<N: Copy + Eq + Hash> TopoOrder<N> {
             forward.push(v);
             if let Some(next) = self.succs.get(&v) {
                 for &s in next {
-                    if self.ord[&s] <= oa && seen_f.insert(s) {
+                    if in_window(self.ord[&s]) && seen_f.insert(s) {
                         stack.push(s);
                     }
                 }
@@ -933,60 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cycle_existence_agrees_on_small_graphs() {
-        let cases: Vec<(Vec<(u32, u32)>, bool)> = vec![
-            (vec![], false),
-            (vec![(1, 2), (2, 3), (3, 4)], false),
-            (vec![(1, 1)], true),
-            (vec![(1, 2), (2, 1)], true),
-            (vec![(1, 2), (2, 3), (1, 4), (4, 2)], false),
-            (vec![(1, 2), (10, 11), (11, 12), (12, 10)], true),
-            (vec![(1, 2), (2, 4), (1, 3), (3, 4), (4, 1)], true),
-        ];
-        for (edges, want) in cases {
-            let g = graph(&edges);
-            for workers in [1, 2, 4] {
-                assert_eq!(g.has_cycle_par(workers), want, "{edges:?} with {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_cycle_existence_agrees_on_large_graphs() {
-        // Wide layered DAG (large frontiers exercise the parallel rounds).
-        let layers = 64u32;
-        let width = 64u32;
-        let mut g: DiGraph<u32> = DiGraph::new();
-        for l in 0..layers - 1 {
-            for i in 0..width {
-                for j in 0..4 {
-                    g.add_edge(l * width + i, (l + 1) * width + (i + j) % width);
-                }
-            }
-        }
-        assert!(!g.has_cycle_par(4));
-        assert!(!g.has_cycle());
-        // One closing edge makes it cyclic.
-        g.add_edge((layers - 1) * width, 0);
-        assert!(g.has_cycle_par(4));
-        assert!(g.has_cycle());
-    }
-
-    #[test]
-    fn parallel_cycle_existence_deep_path() {
-        // 100k-node path: frontiers of size 1 take the inline branch all
-        // the way down, so this also guards the no-spawn fast path.
-        let n = 100_000u32;
-        let mut g = DiGraph::with_capacity(n as usize);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1);
-        }
-        assert!(!g.has_cycle_par(4));
-        g.add_edge(n - 1, n / 2);
-        assert!(g.has_cycle_par(4));
-    }
-
-    #[test]
     fn large_path_graph_no_stack_overflow() {
         // 200k-node path + closing edge; recursion would overflow here.
         let n = 200_000u32;
@@ -1060,6 +971,35 @@ mod tests {
         order.remove_edge(7, 7);
         assert!(!order.has_cycle());
         assert!(order.is_empty());
+    }
+
+    /// The adjacency map of an edge list, as `TopoOrder::from_adjacency`
+    /// takes it.
+    fn adjacency(edges: &[(u32, u32)]) -> HashMap<u32, HashMap<u32, ()>> {
+        let mut adj: HashMap<u32, HashMap<u32, ()>> = HashMap::new();
+        for &(a, b) in edges {
+            adj.entry(a).or_default().insert(b, ());
+        }
+        adj
+    }
+
+    #[cfg(not(feature = "verifier-mutation"))]
+    #[test]
+    fn bulk_build_defers_exactly_the_back_edges() {
+        let cases: Vec<(Vec<(u32, u32)>, bool)> = vec![
+            (vec![], false),
+            (vec![(1, 2), (2, 3), (3, 4)], false),
+            (vec![(1, 1)], true),
+            (vec![(1, 2), (2, 3), (1, 4), (4, 2)], false),
+            (vec![(1, 2), (10, 11), (11, 12), (12, 10)], true),
+            (vec![(1, 2), (2, 4), (1, 3), (3, 4), (4, 1)], true),
+        ];
+        for (edges, want) in cases {
+            let mut order = TopoOrder::from_adjacency(&adjacency(&edges));
+            assert_eq!(order.pending_edges() > 0, want, "{edges:?}");
+            order.validate(&edges).unwrap_or_else(|e| panic!("{edges:?}: {e}"));
+            assert_eq!(order.has_cycle(), want, "{edges:?}");
+        }
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //! * The **adaptive** builder ([`adaptive::build`]) picks the cheaper model
 //!   at run time.
 //! * The **incremental engine** ([`engine::IncrementalEngine`]) maintains
-//!   both graphs persistently from the registry's delta journal, so checks
-//!   cost `O(churn since the last check)` instead of `O(blocked tasks)`;
-//!   detection additionally keeps a Pearce–Kelly topological order
-//!   ([`graph::TopoOrder`]) per model, answering whole-graph
-//!   cycle-existence without a full scan. The from-scratch builders remain
-//!   the oracle it is tested against.
+//!   one graph persistently from the registry's delta journal: the GRG
+//!   ([`grg`], Definition 4.4), whose cycles are exactly the WFG's and the
+//!   SG's (Lemmas 4.5/4.6), under one Pearce–Kelly topological order
+//!   ([`graph::TopoOrder`]). Checks cost `O(churn since the last check)`
+//!   instead of `O(blocked tasks)`, and "no cycle" is read off the order
+//!   without a scan; only a hit rebuilds the selected model from scratch
+//!   for the report. The from-scratch builders remain the oracle it is
+//!   tested against.
 //! * The [`Verifier`] packages all of this behind `block`/`unblock` calls
 //!   made by a runtime (see the `armus-sync` crate) or a distributed site
 //!   (see `armus-dist`).
@@ -80,7 +82,7 @@ pub use deps::{
     BlockedInfo, Delta, JournalRead, Registry, RegistryConfig, Snapshot, DEFAULT_JOURNAL_CAPACITY,
     DEFAULT_SHARDS,
 };
-pub use engine::{DetectionOutcome, IncrementalEngine, SyncOutcome, PAR_NODE_THRESHOLD};
+pub use engine::{DetectionOutcome, IncrementalEngine, SyncOutcome};
 pub use error::DeadlockError;
 pub use graph::TopoOrder;
 pub use ids::{Phase, PhaserId, TaskId, MAX_LOCAL_TASK, MAX_SITE_TAG, SITE_TAG_SHIFT};

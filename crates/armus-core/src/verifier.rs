@@ -97,7 +97,10 @@ pub enum StaticHint {
 pub struct VerifierConfig {
     /// Verification mode.
     pub mode: VerifyMode,
-    /// Graph-model selection.
+    /// Graph-model selection for the canonical rebuild that turns a hit
+    /// into a report. The engine itself maintains only the GRG, whose
+    /// verdict is model-independent (Theorem 4.8), so the choice shapes
+    /// the report and its stats, never whether a deadlock is found.
     pub model: ModelChoice,
     /// SG-abort multiplier for `Auto` (paper default: 2).
     pub sg_threshold: usize,
@@ -111,10 +114,6 @@ pub struct VerifierConfig {
     /// single-resource block runs a full engine check like any other —
     /// used by the differential testkit to exercise both code paths.
     pub fastpath: bool,
-    /// Node count above which full checks parallelise their existence
-    /// pass (defaults to [`crate::engine::PAR_NODE_THRESHOLD`]; a small
-    /// value makes the parallel branch reachable on tiny graphs).
-    pub par_threshold: usize,
     /// Static-analysis verdict for the program this verifier will run
     /// (see [`StaticHint`]). `ProvedSafe` turns every avoidance check into
     /// a publish + counted skip.
@@ -130,7 +129,6 @@ impl VerifierConfig {
             journal_capacity: crate::deps::DEFAULT_JOURNAL_CAPACITY,
             shards: crate::deps::DEFAULT_SHARDS,
             fastpath: true,
-            par_threshold: crate::engine::PAR_NODE_THRESHOLD,
             static_hint: StaticHint::None,
         }
     }
@@ -188,12 +186,6 @@ impl VerifierConfig {
     /// Enables or disables the avoidance resource-cardinality fast path.
     pub fn with_fastpath(mut self, fastpath: bool) -> Self {
         self.fastpath = fastpath;
-        self
-    }
-
-    /// Overrides the parallel-existence node threshold of full checks.
-    pub fn with_par_threshold(mut self, threshold: usize) -> Self {
-        self.par_threshold = threshold;
         self
     }
 
@@ -302,7 +294,7 @@ impl Verifier {
                 shards: cfg.shards,
                 track_waited,
             }),
-            engine: Mutex::new(IncrementalEngine::with_par_threshold(cfg.par_threshold)),
+            engine: Mutex::new(IncrementalEngine::new()),
             pending: Mutex::new(Vec::new()),
             stats: StatsCollector::new(),
             reports: Mutex::new(Vec::new()),
@@ -467,7 +459,7 @@ impl Verifier {
     }
 
     /// Feeds one engine sync into the stats: deltas/resyncs as before, and
-    /// a resync also rebuilds the maintained topological orders from the
+    /// a resync also rebuilds the maintained topological order from the
     /// snapshot, which the `order_rebuilds` counter tracks.
     fn note_sync(&self, sync: SyncOutcome) {
         self.stats.record_sync(sync.deltas_applied, sync.resynced);
@@ -1055,7 +1047,7 @@ mod tests {
     fn detection_counts_incremental_checks_and_order_rebuilds() {
         // Journal window of 2: the four example blocks truncate past the
         // engine's cursor, so the first check_now resyncs — rebuilding the
-        // maintained orders — and still answers the cycle canonically.
+        // maintained order — and still answers the cycle canonically.
         let v = Verifier::new(
             VerifierConfig::detection_every(Duration::from_secs(3600)).with_journal_capacity(2),
         );
@@ -1065,7 +1057,7 @@ mod tests {
         assert!(v.check_now().is_none(), "bystanders only: no cycle");
         let s = v.stats();
         assert_eq!(s.resyncs, 1, "journal window 2 forces a resync");
-        assert_eq!(s.order_rebuilds, 1, "the resync rebuilt the orders");
+        assert_eq!(s.order_rebuilds, 1, "the resync rebuilt the order");
         assert_eq!(s.incremental_detections, 1, "no cycle ⇒ answered from the order");
 
         publish_example_deadlock(&v);

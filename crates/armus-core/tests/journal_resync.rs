@@ -141,7 +141,7 @@ fn detection_verifier_resyncs_deterministically() {
 }
 
 /// After a forced `Behind` → snapshot resync, the maintained
-/// Pearce–Kelly orders are rebuilt from the snapshot and a **pre-existing
+/// Pearce–Kelly order is rebuilt from the snapshot and a **pre-existing
 /// cycle survives the rebuild**: `check_full` re-reports it
 /// byte-identically to the canonical from-scratch checker, and the order
 /// invariants hold on both sides of the boundary.
@@ -171,13 +171,13 @@ fn resync_rebuilds_the_order_and_rereports_byte_identically() {
     assert!(engine.check_full(ModelChoice::FixedWfg, 2).report.is_some(), "cycle seen pre-resync");
     // Benign burst: five independent blockers overflow the 2-entry window,
     // so the next sync must take the full-snapshot path — which rebuilds
-    // the topological orders from scratch.
+    // the topological order in bulk.
     for task in 1..=5 {
         reg.block(info(task, 10 + task));
     }
     let out = engine.sync(&reg);
     assert!(out.resynced, "overflow must force the snapshot resync");
-    assert!(engine.order_invariants().is_ok(), "orders rebuilt from the snapshot");
+    assert!(engine.order_invariants().is_ok(), "order rebuilt from the snapshot");
     // The planted cycle is re-reported byte-identically to the canonical
     // checker for both fixed models (Auto is verdict-stable by the same
     // delegation; the fixed models pin the exact report bytes).
@@ -192,7 +192,7 @@ fn resync_rebuilds_the_order_and_rereports_byte_identically() {
         );
         assert!(ours.is_some(), "{choice:?}: the cycle must survive the resync");
     }
-    // The hit fell back to the canonical rebuild; the orders still hold.
+    // The hit fell back to the canonical rebuild; the order still holds.
     assert!(engine.order_invariants().is_ok());
     // Clearing the cycle returns the engine to the incremental path.
     reg.unblock(t(21));

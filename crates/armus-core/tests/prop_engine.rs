@@ -1,8 +1,10 @@
 //! Equivalence suite for the incremental dependency engine: random
 //! block/unblock/check interleavings driven through the registry's delta
 //! journal, asserting after **every step** that the engine's maintained
-//! graphs equal the from-scratch `wfg`/`sg` oracle — vertex sets, edge
-//! sets, verdicts, and (for fixed models) byte-identical reports.
+//! GRG equals the from-scratch `grg` oracle, that its contractions equal
+//! the from-scratch `wfg`/`sg` (Lemmas 4.5/4.6) — vertex sets and edge
+//! sets — and that verdicts and reports are byte-identical under every
+//! model choice.
 //!
 //! The registry is given a tiny journal capacity so the interleavings also
 //! exercise the truncation → snapshot-resync path, and tasks re-block with
@@ -10,8 +12,8 @@
 
 use armus_core::engine::IncrementalEngine;
 use armus_core::{
-    checker, sg, wfg, BlockedInfo, GraphModel, ModelChoice, PhaserId, Registration, Registry,
-    Resource, TaskId,
+    checker, grg, sg, wfg, BlockedInfo, ModelChoice, PhaserId, Registration, Registry, Resource,
+    TaskId,
 };
 use proptest::prelude::*;
 
@@ -100,8 +102,11 @@ proptest! {
             engine.sync(&registry);
             let snap = registry.snapshot();
 
-            // Structural equivalence: both maintained models equal their
-            // from-scratch construction.
+            // Structural equivalence: the maintained GRG equals its
+            // from-scratch construction, and its contractions equal the
+            // from-scratch WFG and SG.
+            let (_, grg_edges) = graph_sets(&grg::grg(&snap));
+            prop_assert_eq!(engine.grg_edge_list(), grg_edges);
             let (wfg_nodes, wfg_edges) = graph_sets(&wfg::wfg(&snap));
             prop_assert_eq!(engine.wfg_vertex_list(), wfg_nodes);
             prop_assert_eq!(engine.wfg_edge_list(), wfg_edges);
@@ -110,10 +115,9 @@ proptest! {
             prop_assert_eq!(engine.sg_edge_list(), sg_edges);
             prop_assert_eq!(engine.blocked(), snap.len());
 
-            // Report equivalence: byte-identical for the fixed models,
-            // verdict-identical for Auto (whose model selection is
-            // legitimately rule-variant, see `adaptive::auto_pick`).
-            for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
+            // Report equivalence: byte-identical under every choice — a
+            // hit rebuilds through the canonical checker, Auto included.
+            for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
                 let ours = engine.check_full(choice, 2).report;
                 let oracle = checker::check(&snap, choice, 2).report;
                 prop_assert_eq!(json(&ours), json(&oracle), "full check, {}", choice);
@@ -121,9 +125,6 @@ proptest! {
                 let oracle = checker::check_task(&snap, touched, choice, 2).report;
                 prop_assert_eq!(json(&ours), json(&oracle), "task check, {}", choice);
             }
-            let ours = engine.check_full(ModelChoice::Auto, 2).report.is_some();
-            let oracle = checker::check(&snap, ModelChoice::Auto, 2).report.is_some();
-            prop_assert_eq!(ours, oracle, "auto verdict");
         }
 
         // Drain everything: the maintained structures must return to zero.
@@ -135,6 +136,7 @@ proptest! {
         prop_assert_eq!(engine.sg_edge_count(), 0);
         prop_assert_eq!(engine.wfg_edge_count(), 0);
         prop_assert_eq!(engine.sg_vertex_list(), Vec::<Resource>::new());
+        prop_assert_eq!(engine.grg_edge_list(), Vec::new());
     }
 
     /// Concurrent interleavings over the sharded journal: the generated
@@ -188,7 +190,7 @@ proptest! {
         let (sg_nodes, sg_edges) = graph_sets(&sg::sg(&snap));
         prop_assert_eq!(follower.sg_vertex_list(), sg_nodes);
         prop_assert_eq!(follower.sg_edge_list(), sg_edges);
-        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg] {
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
             let ours = follower.check_full(choice, 2).report;
             let oracle = checker::check(&snap, choice, 2).report;
             prop_assert_eq!(json(&ours), json(&oracle), "quiesce check, {}", choice);
@@ -198,9 +200,9 @@ proptest! {
     /// Random delta sequences — block, re-block with changed waits and
     /// registrations (deregistration in delta form), unblock — with a
     /// journal window small enough to force `Behind` → snapshot-resync:
-    /// on every step the maintained Pearce–Kelly orders must be valid
-    /// orders of the rebuilt graphs, and order-answered cycle existence
-    /// must match the from-scratch graph's `has_cycle` exactly, per model.
+    /// on every step the maintained Pearce–Kelly order must be a valid
+    /// order of the GRG, and order-answered cycle existence must match the
+    /// from-scratch GRG's, WFG's and SG's `has_cycle` exactly.
     #[test]
     fn maintained_orders_stay_valid_and_match_has_cycle(ops in arb_ops(24)) {
         let registry = Registry::with_journal_capacity(4);
@@ -217,32 +219,31 @@ proptest! {
             prop_assert!(inv.is_ok(), "order invariant broke after sync: {:?}", inv);
 
             let snap = registry.snapshot();
-            let wfg_cycle = wfg::wfg(&snap).has_cycle();
-            prop_assert_eq!(engine.order_cycle_exists(GraphModel::Wfg), wfg_cycle, "wfg");
-            let sg_cycle = sg::sg(&snap).has_cycle();
-            prop_assert_eq!(engine.order_cycle_exists(GraphModel::Sg), sg_cycle, "sg");
+            let order_cycle = !engine.check_full_detailed(ModelChoice::Auto, 2).incremental;
+            prop_assert_eq!(order_cycle, grg::grg(&snap).has_cycle(), "grg");
+            prop_assert_eq!(order_cycle, wfg::wfg(&snap).has_cycle(), "wfg");
+            prop_assert_eq!(order_cycle, sg::sg(&snap).has_cycle(), "sg");
 
-            // `order_cycle_exists` retried deferred edges; the orders must
-            // still validate afterwards.
+            // The check retried deferred edges; the order must still
+            // validate afterwards.
             let inv = engine.order_invariants();
             prop_assert!(inv.is_ok(), "order invariant broke after retries: {:?}", inv);
         }
 
-        // Drain: the orders must empty out with the graphs.
+        // Drain: the order must empty out with the graph.
         for task in 0..6 {
             registry.unblock(TaskId(task));
         }
         engine.sync(&registry);
-        prop_assert_eq!(engine.wfg_edge_count(), 0);
-        prop_assert_eq!(engine.sg_edge_count(), 0);
-        prop_assert!(!engine.order_cycle_exists(GraphModel::Wfg));
-        prop_assert!(!engine.order_cycle_exists(GraphModel::Sg));
+        prop_assert_eq!(engine.grg_edge_list(), Vec::new());
+        prop_assert!(engine.check_full_detailed(ModelChoice::Auto, 2).incremental);
         let inv = engine.order_invariants();
         prop_assert!(inv.is_ok(), "order invariant broke after drain: {:?}", inv);
     }
 
     /// An engine that only ever resyncs (fresh engine against the live
-    /// registry) agrees with one that followed the deltas throughout.
+    /// registry, built in bulk) agrees with one that followed the deltas
+    /// throughout: same graph, a valid order, the same verdict and report.
     #[test]
     fn resync_from_scratch_matches_delta_following(ops in arb_ops(16)) {
         let registry = Registry::new();
@@ -258,6 +259,15 @@ proptest! {
         }
         let mut joiner = IncrementalEngine::new();
         joiner.reset_to(&registry.snapshot());
+        prop_assert_eq!(joiner.grg_edge_list(), follower.grg_edge_list());
+        let inv = joiner.order_invariants();
+        prop_assert!(inv.is_ok(), "bulk-built order invalid: {:?}", inv);
+        for choice in [ModelChoice::FixedWfg, ModelChoice::FixedSg, ModelChoice::Auto] {
+            let bulk = joiner.check_full_detailed(choice, 2);
+            let followed = follower.check_full_detailed(choice, 2);
+            prop_assert_eq!(bulk.incremental, followed.incremental, "verdict, {}", choice);
+            prop_assert_eq!(json(&bulk.outcome.report), json(&followed.outcome.report));
+        }
         prop_assert_eq!(joiner.wfg_edge_list(), follower.wfg_edge_list());
         prop_assert_eq!(joiner.sg_edge_list(), follower.sg_edge_list());
         prop_assert_eq!(joiner.sg_vertex_list(), follower.sg_vertex_list());

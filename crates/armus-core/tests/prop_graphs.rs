@@ -3,7 +3,9 @@
 //! including future-phase waits the runtime can produce), adaptive-build
 //! consistency, and cycle-detector correctness on random digraphs.
 
-use armus_core::graph::DiGraph;
+use std::collections::HashMap;
+
+use armus_core::graph::{DiGraph, TopoOrder};
 use armus_core::{
     adaptive, checker, grg, sg, wfg, BlockedInfo, GraphModel, ModelChoice, PhaserId, Registration,
     Resource, Snapshot, TaskId,
@@ -177,14 +179,24 @@ proptest! {
         prop_assert_eq!(g.find_cycle().is_some(), has_cycle_kahn(&g));
     }
 
-    /// The parallel peel detector agrees with the sequential DFS on
-    /// random digraphs, at several worker counts.
+    /// A topological order built in bulk (one DFS, back edges deferred)
+    /// is valid against the edge list and agrees with the DFS detector,
+    /// both as built and after every edge is removed again.
     #[test]
-    fn parallel_peel_agrees_with_dfs(g in arb_digraph(12, 30)) {
-        let want = g.has_cycle();
-        for workers in [1usize, 2, 3] {
-            prop_assert_eq!(g.has_cycle_par(workers), want, "workers = {}", workers);
+    fn bulk_built_order_agrees_with_dfs(g in arb_digraph(12, 30)) {
+        let edges = g.edges();
+        let mut adj: HashMap<u32, HashMap<u32, ()>> = HashMap::new();
+        for &(a, b) in &edges {
+            adj.entry(a).or_default().insert(b, ());
         }
+        let mut order = TopoOrder::from_adjacency(&adj);
+        prop_assert!(order.validate(&edges).is_ok(), "{:?}", order.validate(&edges));
+        prop_assert_eq!(order.has_cycle(), g.has_cycle());
+        prop_assert!(order.validate(&edges).is_ok(), "after retries: {:?}", order.validate(&edges));
+        for &(a, b) in &edges {
+            order.remove_edge(a, b);
+        }
+        prop_assert!(order.is_empty());
     }
 
     /// Any witness returned is a genuine cycle.

@@ -73,7 +73,7 @@ pub struct DistCheckerStats {
     /// Rounds whose detection was answered entirely from the maintained
     /// topological order (no full graph walk).
     pub incremental_detections: u64,
-    /// From-scratch rebuilds of the engine (and its orders) from a merged
+    /// From-scratch rebuilds of the engine (and its order) from a merged
     /// snapshot: the first round and every explicit
     /// [`IncrementalDistChecker::resync`].
     pub order_rebuilds: u64,

@@ -23,9 +23,10 @@
 //!   depth-first bounded-exhaustive enumerator.
 //! * [`oracle`] — the differential oracle: avoidance (fast path on and
 //!   off) and detection-style sampling (default and tiny-journal/
-//!   single-shard/low-par-threshold tunings) versus the PL semantics in
-//!   lockstep; soundness, completeness, alignment, and model-agreement
-//!   invariants per step.
+//!   single-shard tunings) versus the PL semantics in lockstep;
+//!   soundness, completeness, alignment, and model-agreement invariants
+//!   per step, plus a follower engine whose order-answered `check_full`
+//!   must match the canonical checker run from scratch, byte for byte.
 //! * [`replay`] — replays `armus_pl::analysis` deadlock witnesses through
 //!   a publish-only [`sim::Sim`] and demands the runtime checker report
 //!   the predicted deadlock (the `DefiniteDeadlock` soundness leg).

@@ -2,12 +2,14 @@
 //! with `--features verifier-mutation`, armus-core carries two deliberate
 //! defects. The avoidance fast path is off by one (cardinality bound 3
 //! instead of 2), which silently admits every two-resource deadlock
-//! cycle. And the Pearce–Kelly order maintenance skips the
-//! affected-region forward search on adjacent-label violations (label gap
-//! exactly 1), committing edges that close a cycle — which makes the
-//! incremental `check_full` answer "no cycle" on exactly the crossed-wait
-//! shape. The oracle must flag both, and the shrinker must reduce each
-//! failure to a hand-readable scenario with a short replayable schedule.
+//! cycle. And the Pearce–Kelly order's affected-region forward search
+//! stops one label short of the violating edge's source, so it never
+//! finds the path back and commits edges that close a cycle — which makes
+//! the maintained GRG answer "no cycle" on the crossed-wait shape, in
+//! detection (`check_full`) and in the avoidance slow path alike, since
+//! both read "no cycle" off the order. The oracle must flag both, and the
+//! shrinker must reduce each failure to a hand-readable scenario with a
+//! short replayable schedule.
 //!
 //! Run with: `cargo test -p armus-testkit --features verifier-mutation`
 //! (the regular tiers are compiled out under the feature — they would
@@ -34,11 +36,13 @@ fn oracle_catches_the_planted_bug_on_the_crossed_wait() {
         .expect_err("the mutated fast path admits the two-resource cycle; the oracle must notice");
     assert_eq!(failure.config, "avoidance", "the bug lives in the fast path: {failure}");
     assert!(failure.message.contains("admitted a deadlock"), "unexpected failure shape: {failure}");
-    // The no-fastpath config is immune: the mutation is *in* the fast
-    // path, so the full-check configuration must still pass.
+    // The no-fastpath config skips the cardinality bug but not the order
+    // bug: its engine check reads "no cycle" off the same mutated order,
+    // so it must admit the cycle too — and be flagged the same way.
     let oc = oracle_configs().into_iter().find(|c| c.name == "avoidance-nofastpath").unwrap();
-    run_config(&scenario, &oc, &mut SeededChooser::new(0))
-        .expect("the mutation must not affect the slow path");
+    let failure = run_config(&scenario, &oc, &mut SeededChooser::new(0))
+        .expect_err("the slow path reads the mutated order; the oracle must notice");
+    assert!(failure.message.contains("admitted a deadlock"), "unexpected failure shape: {failure}");
 }
 
 /// Runs only the "detection" config: per-step lockstep of the follower
@@ -54,10 +58,10 @@ fn run_detection(
 
 #[test]
 fn lockstep_catches_the_planted_order_maintenance_bug() {
-    // The crossed wait inserts the two WFG edges with label gap exactly 1
-    // — the edge class whose forward search the mutation skips — so the
-    // order answers "no cycle" while the full scan and the canonical
-    // checker both see the 2-cycle. The per-step lockstep must notice.
+    // The crossed wait's last GRG edge closes the four-node cycle
+    // t1 → p1@1 → t2 → p2@1 → t1 through a region search the mutation
+    // cuts short, so the order answers "no cycle" while the canonical
+    // checker sees the cycle. The per-step lockstep must notice.
     let failure = run_detection(&crossed_wait(), 0)
         .expect_err("the mutated order maintenance hides the crossed-wait cycle");
     assert_eq!(failure.config, "detection", "{failure}");

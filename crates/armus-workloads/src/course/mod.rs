@@ -10,8 +10,11 @@
 //! * **BFS**, **PS** — many more tasks than barriers: the WFG blows up
 //!   (579/781 edges), the SG stays tiny (5–7).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
+use armus_core::{adaptive, ModelChoice, Snapshot};
 use armus_sync::Runtime;
 
 pub mod bfs;
@@ -42,6 +45,61 @@ pub fn all() -> [CourseBench; 5] {
         CourseBench { name: "BFS", run: bfs::run, expected: bfs::expected },
         CourseBench { name: "PS", run: ps::run, expected: ps::expected },
     ]
+}
+
+/// How often [`run_sampled`] snapshots the verifier.
+const SAMPLE_EVERY: Duration = Duration::from_micros(100);
+
+/// The most samples [`run_sampled`] keeps: when full it drops every other
+/// one and halves its rate, so the kept samples stay spread evenly over
+/// the whole run.
+const MAX_SAMPLES: usize = 1024;
+
+/// Runs `bench` on `rt` while a second thread samples the verifier's
+/// blocked-task snapshot every [`SAMPLE_EVERY`]; returns the checksum and
+/// the samples that held a blocked task (at most [`MAX_SAMPLES`]). The
+/// samples are states a check could have analysed, so Table 3's per-model
+/// sizes can be measured on them from scratch ([`avg_edges`]) whatever the
+/// verifier's engine maintains — an average over sampled states, weighted
+/// by time, not over the checks the verifier ran.
+pub fn run_sampled(bench: &CourseBench, rt: &Arc<Runtime>, scale: Scale) -> (f64, Vec<Snapshot>) {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut samples = Vec::new();
+            let mut stride = 1u64;
+            let mut tick = 0u64;
+            while !done.load(Ordering::Acquire) {
+                if tick % stride == 0 {
+                    let snapshot = rt.verifier().local_snapshot();
+                    if !snapshot.is_empty() {
+                        samples.push(snapshot);
+                    }
+                    if samples.len() == MAX_SAMPLES {
+                        samples = samples.into_iter().step_by(2).collect();
+                        stride *= 2;
+                    }
+                }
+                tick += 1;
+                std::thread::sleep(SAMPLE_EVERY);
+            }
+            samples
+        });
+        let got = (bench.run)(rt, scale);
+        done.store(true, Ordering::Release);
+        (got, sampler.join().expect("sampler does not panic"))
+    })
+}
+
+/// Average edge count of the graph `choice` builds from scratch over
+/// `samples` (Table 3's "Edges" row); 0 without samples.
+pub fn avg_edges(samples: &[Snapshot], choice: ModelChoice, threshold: usize) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let edges: usize =
+        samples.iter().map(|s| adaptive::build(s, choice, threshold).edge_count()).sum();
+    edges as f64 / samples.len() as f64
 }
 
 #[cfg(test)]

@@ -99,7 +99,7 @@ fn main() {
     let outcome = checker::check(&snapshot, model, threshold);
     eprintln!(
         "analysed a {} with {} nodes / {} edges{}",
-        outcome.stats.model,
+        outcome.stats.model.expect("a from-scratch check builds a model"),
         outcome.stats.nodes,
         outcome.stats.edges,
         if outcome.stats.sg_aborted { " (SG attempt aborted)" } else { "" }

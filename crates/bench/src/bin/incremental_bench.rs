@@ -1,11 +1,12 @@
-//! `incremental` — measures rebuild-per-check vs delta-maintenance on the
-//! avoidance hot path (see `armus_bench::incremental`).
+//! `incremental` — measures the incremental engine: rebuild-per-check vs
+//! delta-maintenance on the avoidance hot path, full-scan vs order-answered
+//! detection, and bulk resync (see `armus_bench::incremental`).
 //!
 //! ```text
 //! cargo run --release -p armus-bench --bin incremental_bench -- [options]
 //!
 //! options:
-//!   --sizes a,b,c    blocked-task counts (default: 64,512,4096)
+//!   --sizes a,b,c    blocked-task counts (default: 64,512,4096,8192)
 //!   --millis-per-cell N   measurement budget per (size, arm) pair (default: 500)
 //!   --json PATH      dump the cells as JSON (e.g. BENCH_incremental.json)
 //! ```
@@ -15,7 +16,7 @@ use std::time::Duration;
 use armus_bench::incremental;
 
 fn main() {
-    let mut sizes: Vec<usize> = vec![64, 512, 4096];
+    let mut sizes: Vec<usize> = vec![64, 512, 4096, 8192];
     let mut millis: u64 = 500;
     let mut json: Option<String> = None;
 

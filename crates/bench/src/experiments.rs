@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armus_core::{ModelChoice, VerifierConfig};
+use armus_core::{ModelChoice, VerifierConfig, DEFAULT_SG_THRESHOLD};
 use armus_dist::SiteConfig;
 use armus_sync::{Runtime, RuntimeConfig};
 use armus_workloads::course::{self, CourseBench};
@@ -298,7 +298,10 @@ pub struct CourseEntry {
     pub model: String,
     /// Times.
     pub time: Measurement,
-    /// Average edge count per deadlock check (Table 3's "Edges").
+    /// Average edge count of this model's graph, built from scratch over
+    /// the blocked states sampled at a fixed interval during the warm-up
+    /// pass (Table 3's "Edges"): an average over sampled states, not over
+    /// the checks the verifier ran.
     pub avg_edges: f64,
 }
 
@@ -323,24 +326,23 @@ fn measure_course(
     model: ModelChoice,
     cfg: &Config,
 ) -> (Measurement, f64) {
+    // Untimed warm-up pass (k = 0), sampled: the per-model edge count is
+    // measured from scratch on the blocked states it passed through.
+    let rt = runtime_for(mode, model, cfg.detection_period);
+    let (got, states) = course::run_sampled(bench, &rt, cfg.scale);
+    assert_eq!(got, (bench.expected)(cfg.scale), "{} output invalid", bench.name);
+    rt.shutdown();
+    let avg = course::avg_edges(&states, model, DEFAULT_SG_THRESHOLD);
+
     let mut samples = Vec::with_capacity(cfg.samples);
-    let mut edges = 0u64;
-    let mut checks = 0u64;
-    for k in 0..=cfg.samples {
+    for _ in 0..cfg.samples {
         let rt = runtime_for(mode, model, cfg.detection_period);
         let t0 = Instant::now();
         let got = (bench.run)(&rt, cfg.scale);
-        let dt = t0.elapsed().as_secs_f64();
+        samples.push(t0.elapsed().as_secs_f64());
         assert_eq!(got, (bench.expected)(cfg.scale), "{} output invalid", bench.name);
-        let stats = rt.stats();
         rt.shutdown();
-        if k > 0 {
-            samples.push(dt);
-            edges += stats.edges_sum;
-            checks += stats.checks;
-        }
     }
-    let avg = if checks == 0 { 0.0 } else { edges as f64 / checks as f64 };
     (Measurement::from_samples(samples), avg)
 }
 
@@ -404,7 +406,8 @@ pub fn print_fig9(cells: &[CourseCell]) {
 }
 
 /// Table 3: average edge count and verification overhead per benchmark per
-/// graph mode.
+/// graph mode. The edge count averages over blocked states sampled every
+/// 100 µs of a run, not over the checks the verifier ran.
 pub fn print_table3(cells: &[CourseCell]) {
     println!("\nTable 3: edge count and verification overhead per benchmark per graph mode.");
     print!("{:<18}", "");
@@ -414,7 +417,7 @@ pub fn print_table3(cells: &[CourseCell]) {
     println!();
     for (_, label) in MODELS {
         println!("{label}");
-        // Edges row (avoidance-mode counts, the heavier sampler).
+        // Edges row (sampled during the avoidance-mode warm-up).
         print!("  {:<16}", "Edges");
         for c in cells {
             let e = c

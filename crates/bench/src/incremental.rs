@@ -14,18 +14,23 @@
 //!
 //! A second, **detection** axis measures the full check (`check_full`, the
 //! detection monitor's operation) rather than the per-task avoidance
-//! check: the **scan** arm walks the whole maintained adjacency per check
-//! (`check_full_scan`, `O(V + E)` even on a quiet graph), while the
-//! **order** arm answers cycle existence from the maintained Pearce–Kelly
-//! topological order (`check_full`, `O(churn since the last check)`). Both
-//! arms pay the same two journal deltas of probe churn per operation, so
-//! the axis isolates exactly what order maintenance buys: detection cost
-//! that scales with how much changed, not with how many tasks are blocked.
+//! check: the **scan** arm builds the GRG of the engine's materialised
+//! view and runs a cycle search over it per check (`O(V + E)` even on a
+//! quiet graph; a baseline local to this bench), while the **order** arm
+//! answers cycle existence from the maintained Pearce–Kelly topological
+//! order (`check_full`, `O(churn since the last check)`). Both arms pay
+//! the same two journal deltas of probe churn per operation, so the axis
+//! isolates exactly what order maintenance buys: detection cost that
+//! scales with how much changed, not with how many tasks are blocked.
+//!
+//! A third, **resync** axis times what the engine does when it falls
+//! behind the bounded journal: snapshot the registry and rebuild the
+//! maintained graph and its order in bulk (`reset_to`).
 
 use std::time::{Duration, Instant};
 
 use armus_core::{
-    checker, BlockedInfo, IncrementalEngine, ModelChoice, PhaserId, Registration, Registry,
+    checker, grg, BlockedInfo, IncrementalEngine, ModelChoice, PhaserId, Registration, Registry,
     Resource, TaskId, DEFAULT_SG_THRESHOLD,
 };
 use serde::Serialize;
@@ -45,6 +50,11 @@ pub struct IncrementalCell {
     pub delta_ops_per_sec: f64,
     /// `delta / rebuild`.
     pub speedup: f64,
+    /// The delta arm with a probe that blocks in the middle of the
+    /// barrier chain, ops/sec. Its block violates the maintained order,
+    /// so each cycle pays a Pearce–Kelly reorder of the affected region
+    /// (about half the chain): reported, not gated.
+    pub delta_mid_chain_ops_per_sec: f64,
 }
 
 /// One measured size of the detection axis.
@@ -52,14 +62,25 @@ pub struct IncrementalCell {
 pub struct DetectionCell {
     /// Background blocked tasks during the measurement.
     pub blocked_tasks: usize,
-    /// block → sync → `check_full_scan` (full adjacency walk) → unblock,
-    /// checks/sec.
+    /// block → sync → GRG of the materialised view + cycle search →
+    /// unblock, checks/sec.
     pub scan_checks_per_sec: f64,
     /// block → sync → `check_full` (order-answered existence) → unblock,
     /// checks/sec.
     pub order_checks_per_sec: f64,
     /// `order / scan`.
     pub speedup: f64,
+}
+
+/// One measured size of the resync axis.
+#[derive(Clone, Debug, Serialize)]
+pub struct ResyncCell {
+    /// Blocked tasks in the registry.
+    pub blocked_tasks: usize,
+    /// `reset_to(&registry.snapshot())`, median over the samples, ms.
+    pub resync_ms: f64,
+    /// Resyncs timed.
+    pub samples: usize,
 }
 
 /// The whole experiment, for `--json` export (`BENCH_incremental.json`).
@@ -73,6 +94,8 @@ pub struct IncrementalResults {
     pub cells: Vec<IncrementalCell>,
     /// One cell per blocked-task count (detection axis).
     pub detection: Vec<DetectionCell>,
+    /// One cell per blocked-task count (resync axis).
+    pub resync: Vec<ResyncCell>,
 }
 
 /// A background blocked task in the SPMD-ish shape: arrived (phase 1) on
@@ -91,6 +114,15 @@ fn background(task: u64) -> BlockedInfo {
 /// id of its own.
 fn probe(n: usize) -> BlockedInfo {
     background(n as u64)
+}
+
+/// A probe on a task id of its own, shaped like a background task arrived
+/// on the middle barrier and lagging on the one before: its block inserts
+/// a task between two events of the chain.
+fn mid_chain_probe(n: usize) -> BlockedInfo {
+    let mut info = background(PHASERS / 2);
+    info.task = TaskId(n as u64);
+    info
 }
 
 fn populate(registry: &Registry, n: usize) {
@@ -135,38 +167,43 @@ pub fn run_cell(n: usize, budget: Duration) -> IncrementalCell {
         registry.unblock(task);
     });
 
-    // Delta arm: the engine-maintained hot path.
-    let registry = Registry::new();
-    populate(&registry, n);
-    let mut engine = IncrementalEngine::new();
-    engine.sync(&registry);
-    let delta_ops_per_sec = measure(budget, || {
-        registry.block(info.clone());
-        engine.sync(&registry);
-        let out = engine.check_task(task, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
-        assert!(out.report.is_none(), "the synthetic shape is deadlock-free");
-        registry.unblock(task);
-    });
+    let delta_ops_per_sec = measure_delta(n, &info, budget);
+    let delta_mid_chain_ops_per_sec = measure_delta(n, &mid_chain_probe(n), budget);
 
     IncrementalCell {
         blocked_tasks: n,
         rebuild_ops_per_sec,
         delta_ops_per_sec,
         speedup: delta_ops_per_sec / rebuild_ops_per_sec,
+        delta_mid_chain_ops_per_sec,
     }
 }
 
+/// The delta arm, the engine-maintained hot path, for one probe shape.
+fn measure_delta(n: usize, info: &BlockedInfo, budget: Duration) -> f64 {
+    let task = info.task;
+    let registry = Registry::new();
+    populate(&registry, n);
+    let mut engine = IncrementalEngine::new();
+    engine.sync(&registry);
+    measure(budget, || {
+        registry.block(info.clone());
+        engine.sync(&registry);
+        let out = engine.check_task(task, ModelChoice::Auto, DEFAULT_SG_THRESHOLD);
+        assert!(out.report.is_none(), "the synthetic shape is deadlock-free");
+        registry.unblock(task);
+    })
+}
+
 /// Measures one blocked-task count on the detection axis: both arms
-/// follow the registry through the same engine machinery and pay the same
-/// two-delta probe churn per check; only the cycle-existence answer
-/// differs — a full walk of the maintained adjacency vs the maintained
-/// topological order. `FixedWfg` pins the model so the axis compares the
-/// detection algorithms, not the adaptive model selection.
+/// follow the registry through the same engine and pay the same two-delta
+/// probe churn per check; only the cycle-existence answer differs — a
+/// from-scratch GRG build and search vs the maintained topological order.
 pub fn run_detection_cell(n: usize, budget: Duration) -> DetectionCell {
     let info = probe(n);
     let task = info.task;
 
-    // Scan arm: the pre-order detection path, O(V + E) per check.
+    // Scan arm: a whole-graph cycle search per check, O(V + E).
     let registry = Registry::new();
     populate(&registry, n);
     let mut engine = IncrementalEngine::new();
@@ -174,8 +211,7 @@ pub fn run_detection_cell(n: usize, budget: Duration) -> DetectionCell {
     let scan_checks_per_sec = measure(budget, || {
         registry.block(info.clone());
         engine.sync(&registry);
-        let out = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-        assert!(out.report.is_none(), "the synthetic shape is deadlock-free");
+        assert!(!scan_has_cycle(&engine), "the synthetic shape is deadlock-free");
         registry.unblock(task);
     });
 
@@ -200,7 +236,36 @@ pub fn run_detection_cell(n: usize, budget: Duration) -> DetectionCell {
     }
 }
 
-/// Runs the experiment — both axes — over the given sizes.
+/// The detection axis's baseline: build the GRG of the engine's view from
+/// scratch and search it for a cycle.
+fn scan_has_cycle(engine: &IncrementalEngine) -> bool {
+    grg::grg(&engine.materialize()).has_cycle()
+}
+
+/// Measures one blocked-task count on the resync axis: an engine that
+/// fell behind the journal reloads from a registry snapshot. Timed at
+/// least five times and for at least `budget`.
+pub fn run_resync_cell(n: usize, budget: Duration) -> ResyncCell {
+    let registry = Registry::new();
+    populate(&registry, n);
+    let mut engine = IncrementalEngine::new();
+    let mut samples_ms = Vec::new();
+    let start = Instant::now();
+    while samples_ms.len() < 5 || start.elapsed() < budget {
+        let t0 = Instant::now();
+        engine.reset_to(&registry.snapshot());
+        samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    assert_eq!(engine.blocked(), n);
+    samples_ms.sort_by(f64::total_cmp);
+    ResyncCell {
+        blocked_tasks: n,
+        resync_ms: samples_ms[samples_ms.len() / 2],
+        samples: samples_ms.len(),
+    }
+}
+
+/// Runs the experiment — all three axes — over the given sizes.
 pub fn run(sizes: &[usize], budget: Duration) -> IncrementalResults {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let cells = sizes
@@ -217,7 +282,14 @@ pub fn run(sizes: &[usize], budget: Duration) -> IncrementalResults {
             run_detection_cell(n, budget)
         })
         .collect();
-    IncrementalResults { host_cores, cells, detection }
+    let resync = sizes
+        .iter()
+        .map(|&n| {
+            eprintln!("  [resync] N = {n}");
+            run_resync_cell(n, budget)
+        })
+        .collect();
+    IncrementalResults { host_cores, cells, detection, resync }
 }
 
 /// Prints the results as a table.
@@ -225,14 +297,21 @@ pub fn print_table(results: &IncrementalResults) {
     println!(
         "\nIncremental engine: avoidance check throughput, rebuild-per-check vs delta-maintenance."
     );
-    println!("  {:>8} {:>16} {:>16} {:>9}", "blocked", "rebuild ops/s", "delta ops/s", "speedup");
+    println!(
+        "  {:>8} {:>16} {:>16} {:>9} {:>20}",
+        "blocked", "rebuild ops/s", "delta ops/s", "speedup", "mid-chain delta ops/s"
+    );
     for cell in &results.cells {
         println!(
-            "  {:>8} {:>16.0} {:>16.0} {:>8.1}x",
-            cell.blocked_tasks, cell.rebuild_ops_per_sec, cell.delta_ops_per_sec, cell.speedup
+            "  {:>8} {:>16.0} {:>16.0} {:>8.1}x {:>20.0}",
+            cell.blocked_tasks,
+            cell.rebuild_ops_per_sec,
+            cell.delta_ops_per_sec,
+            cell.speedup,
+            cell.delta_mid_chain_ops_per_sec
         );
     }
-    println!("\nDetection: full-check throughput, adjacency scan vs maintained topological order.");
+    println!("\nDetection: full-check throughput, from-scratch GRG scan vs maintained order.");
     println!(
         "  {:>8} {:>16} {:>16} {:>9}",
         "blocked", "scan checks/s", "order checks/s", "speedup"
@@ -242,6 +321,11 @@ pub fn print_table(results: &IncrementalResults) {
             "  {:>8} {:>16.0} {:>16.0} {:>8.1}x",
             cell.blocked_tasks, cell.scan_checks_per_sec, cell.order_checks_per_sec, cell.speedup
         );
+    }
+    println!("\nResync: snapshot + bulk rebuild of the maintained graph and its order.");
+    println!("  {:>8} {:>12} {:>8}", "blocked", "resync ms", "samples");
+    for cell in &results.resync {
+        println!("  {:>8} {:>12.3} {:>8}", cell.blocked_tasks, cell.resync_ms, cell.samples);
     }
 }
 
@@ -256,6 +340,7 @@ mod tests {
         for cell in &results.cells {
             assert!(cell.rebuild_ops_per_sec > 0.0);
             assert!(cell.delta_ops_per_sec > 0.0);
+            assert!(cell.delta_mid_chain_ops_per_sec > 0.0);
             assert!(cell.speedup > 0.0);
         }
         assert!(results.host_cores >= 1);
@@ -264,6 +349,10 @@ mod tests {
             assert!(cell.scan_checks_per_sec > 0.0);
             assert!(cell.order_checks_per_sec > 0.0);
             assert!(cell.speedup > 0.0);
+        }
+        assert_eq!(results.resync.len(), 2);
+        for cell in &results.resync {
+            assert!(cell.resync_ms > 0.0 && cell.samples >= 5);
         }
         print_table(&results);
     }
@@ -279,14 +368,26 @@ mod tests {
         for _ in 0..3 {
             registry.block(probe(128));
             engine.sync(&registry);
-            let scan = engine.check_full_scan(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
             let order = engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD);
-            assert!(scan.report.is_none());
+            assert!(!scan_has_cycle(&engine));
             assert!(order.report.is_none());
             assert!(engine.order_invariants().is_ok());
             registry.unblock(probe(128).task);
             engine.sync(&registry);
         }
+        // A crossed wait on two fresh phasers: both arms see the cycle.
+        let crossed = |task: u64, own: u64, other: u64| {
+            BlockedInfo::new(
+                TaskId(task),
+                vec![Resource::new(PhaserId(own), 1)],
+                vec![Registration::new(PhaserId(own), 1), Registration::new(PhaserId(other), 0)],
+            )
+        };
+        registry.block(crossed(1000, 1000, 1001));
+        registry.block(crossed(1001, 1001, 1000));
+        engine.sync(&registry);
+        assert!(scan_has_cycle(&engine));
+        assert!(engine.check_full(ModelChoice::FixedWfg, DEFAULT_SG_THRESHOLD).report.is_some());
     }
 
     #[test]

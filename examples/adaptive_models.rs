@@ -12,17 +12,21 @@ use armus::prelude::*;
 use armus::workloads::course;
 use armus::workloads::Scale;
 
-fn run_with(model: ModelChoice, bench: &course::CourseBench) -> (f64, u64) {
-    let rt = Runtime::new(
+fn runtime(model: ModelChoice) -> std::sync::Arc<Runtime> {
+    Runtime::new(
         armus::sync::RuntimeConfig::unchecked()
             .with_verifier(VerifierConfig::avoidance().with_model(model)),
-    );
+    )
+}
+
+fn time_with(model: ModelChoice, bench: &course::CourseBench) -> f64 {
+    let rt = runtime(model);
     let t0 = std::time::Instant::now();
     let got = (bench.run)(&rt, Scale::Quick);
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(got, (bench.expected)(Scale::Quick));
-    let stats = rt.stats();
-    (dt, stats.edges_sum.checked_div(stats.checks).unwrap_or(0))
+    rt.shutdown();
+    dt
 }
 
 fn main() {
@@ -67,9 +71,18 @@ fn main() {
         "bench", "Auto (s)", "SG (s)", "WFG (s)", "avg edges (A/S/W)"
     );
     for bench in course::all() {
-        let (t_auto, e_auto) = run_with(ModelChoice::Auto, &bench);
-        let (t_sg, e_sg) = run_with(ModelChoice::FixedSg, &bench);
-        let (t_wfg, e_wfg) = run_with(ModelChoice::FixedWfg, &bench);
+        // Sizes: every model built from scratch on the same blocked
+        // states, sampled during one untimed run.
+        let rt = runtime(ModelChoice::Auto);
+        let (got, samples) = course::run_sampled(&bench, &rt, Scale::Quick);
+        assert_eq!(got, (bench.expected)(Scale::Quick));
+        rt.shutdown();
+        let edges = |model| course::avg_edges(&samples, model, DEFAULT_SG_THRESHOLD).round();
+        let (e_auto, e_sg, e_wfg) =
+            (edges(ModelChoice::Auto), edges(ModelChoice::FixedSg), edges(ModelChoice::FixedWfg));
+        let t_auto = time_with(ModelChoice::Auto, &bench);
+        let t_sg = time_with(ModelChoice::FixedSg, &bench);
+        let t_wfg = time_with(ModelChoice::FixedWfg, &bench);
         println!(
             "{:<6} {:>12.4} {:>12.4} {:>12.4}   {:>5}/{:<5}/{:<5}",
             bench.name, t_auto, t_sg, t_wfg, e_auto, e_sg, e_wfg

@@ -105,7 +105,7 @@ fn main() {
                 };
                 println!(
                     "{model:>5}: deadlock among {tasks:?} — witness {witness} ({} {} edges)",
-                    out.stats.edges, out.stats.model
+                    out.stats.edges, report.model
                 );
             }
         }

@@ -169,28 +169,26 @@ fn avoidance_checks_scale_with_blocks_detection_with_time() {
 #[test]
 fn course_benches_auto_analyses_no_more_than_the_worse_fixed_model() {
     // Average analysed edges: Auto ≤ max(SG, WFG) for every §6.3 program
-    // (the Table 3 claim, on counters).
+    // (the Table 3 claim). The three choices are compared on the same
+    // blocked states, sampled while the program runs under avoidance, and
+    // each is built from scratch — the sizes a check under that choice
+    // analyses.
+    let mut blocked_samples = 0;
     for bench in course::all() {
-        let run_with = |model: ModelChoice| {
-            let rt = Runtime::new(
-                RuntimeConfig::unchecked()
-                    .with_verifier(VerifierConfig::avoidance().with_model(model)),
-            );
-            let got = (bench.run)(&rt, Scale::Quick);
-            assert_eq!(got, (bench.expected)(Scale::Quick));
-            let stats = rt.stats();
-            if stats.checks == 0 {
-                0.0
-            } else {
-                stats.edges_sum as f64 / stats.checks as f64
-            }
-        };
-        let auto = run_with(ModelChoice::Auto);
-        let sg = run_with(ModelChoice::FixedSg);
-        let wfg = run_with(ModelChoice::FixedWfg);
-        // Not exactly comparable run to run (blocking patterns vary), so
-        // allow slack: Auto must not exceed the worse fixed model by more
-        // than 50%.
+        let rt =
+            Runtime::new(RuntimeConfig::unchecked().with_verifier(VerifierConfig::avoidance()));
+        let (got, samples) = course::run_sampled(&bench, &rt, Scale::Quick);
+        assert_eq!(got, (bench.expected)(Scale::Quick));
+        rt.shutdown();
+        blocked_samples += samples.len();
+        let avg = |model| course::avg_edges(&samples, model, DEFAULT_SG_THRESHOLD);
+        let auto = avg(ModelChoice::Auto);
+        let sg = avg(ModelChoice::FixedSg);
+        let wfg = avg(ModelChoice::FixedWfg);
+        // Per state Auto keeps the SG or the WFG it falls back to, but it
+        // keeps an SG under the threshold even where the WFG is smaller,
+        // so averages over different states need slack: Auto must not
+        // exceed the worse fixed model by more than 50%.
         let worse = sg.max(wfg);
         assert!(
             auto <= worse * 1.5 + 8.0,
@@ -198,6 +196,7 @@ fn course_benches_auto_analyses_no_more_than_the_worse_fixed_model() {
             bench.name
         );
     }
+    assert!(blocked_samples > 0, "no sample caught a blocked task: the comparison is vacuous");
 }
 
 #[test]
